@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .errors import CapabilityError, UnsupportedOrderError
 from .quantile import TailModel
@@ -83,6 +84,13 @@ class DistributionSpec:
     @property
     def has_numeric_quantile(self) -> bool:
         return self.has_exact_quantile or self.name in ("student_t", "f_dist")
+
+    @property
+    def two_sided(self) -> bool:
+        """Whether the support reaches below 0."""
+        if self.name == "stable":
+            return self.params[1] != -self.params[0]
+        return self.name in ("cauchy", "student_t")
 
     @property
     def has_sampler(self) -> bool:
@@ -173,24 +181,27 @@ def _stable_density_coeff(k: int, alpha: float, gamma: float) -> float:
 
 
 def upper_quantile(dist: DistributionSpec, v):
-    """F^{-1}(1 - v) evaluated stably for small v; accepts numpy arrays."""
+    """F^{-1}(1 - v) evaluated stably for small v; accepts numpy arrays.
+
+    Student t and F go through ``scipy.special``: ``stdtrit`` for t, and for
+    F the beta variable w = N / (N + M x), whose lower-tail inverse
+    ``betaincinv(N/2, M/2, v)`` stays accurate down to v = 1e-300.
+    """
     name, p = dist.name, dist.params
     if name == "pareto":
         alpha = p[0] if p else 1.0
-        return np.asarray(v) ** (-1.0 / alpha)
+        return np.power(v, -1.0 / alpha)
     if name == "cauchy":
-        return 1.0 / np.tan(np.pi * np.asarray(v))
+        return 1.0 / np.tan(np.pi * v)
     if name == "frechet":
         alpha = p[0]
-        return (-np.log1p(-np.asarray(v))) ** (-1.0 / alpha)
+        return (-np.log1p(-v)) ** (-1.0 / alpha)
     if name == "student_t":
-        from scipy.stats import t as _t
-
-        return _t.isf(np.asarray(v), int(p[0]))
+        return -special.stdtrit(int(p[0]), v)
     if name == "f_dist":
-        from scipy.stats import f as _f
-
-        return _f.isf(np.asarray(v), int(p[0]), int(p[1]))
+        M, N = int(p[0]), int(p[1])
+        w = special.betaincinv(N / 2, M / 2, v)
+        return (N / M) * (1.0 / w - 1.0)
     raise CapabilityError(f"{dist} has no quantile function")
 
 
@@ -211,13 +222,9 @@ def cdf(dist: DistributionSpec, x: float) -> float:
     if name == "frechet":
         return math.exp(-(x ** (-p[0]))) if x > 0 else 0.0
     if name == "student_t":
-        from scipy.stats import t as _t
-
-        return float(_t.cdf(x, int(p[0])))
+        return float(special.stdtr(int(p[0]), x))
     if name == "f_dist":
-        from scipy.stats import f as _f
-
-        return float(_f.cdf(x, int(p[0]), int(p[1])))
+        return float(special.fdtr(int(p[0]), int(p[1]), x)) if x > 0 else 0.0
     raise CapabilityError(f"{dist} has no CDF")
 
 

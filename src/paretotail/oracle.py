@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from .betamoments import suffix_sums
 from .catalog import DistributionSpec, tail_of, upper_quantile, make_rng, sample
-from .errors import CapabilityError, InfiniteMomentError
+from .errors import CapabilityError, InfiniteMomentError, ParetoTailError
 
 __all__ = [
     "OracleResult",
@@ -94,10 +94,31 @@ def _power_sub(exponent_gap: float, target: float = 2.0) -> int:
     return max(1, math.ceil(target / exponent_gap))
 
 
+def _require_real_powers(dist: DistributionSpec, *thetas) -> None:
+    """Refuse powers that turn complex on the negative part of the support."""
+    if dist.two_sided and not all(float(t).is_integer() for t in thetas):
+        raise CapabilityError(
+            f"{dist} takes negative values, so X^theta needs an integer "
+            f"theta; got {thetas}"
+        )
+
+
+def _finite(value: float, dist: DistributionSpec, n: int, s, theta) -> float:
+    """Pass a finite integral through; a nan or inf means the integrand
+    under- or overflowed, not that the moment is infinite."""
+    if not math.isfinite(value):
+        raise ParetoTailError(
+            f"quadrature for {dist} at n={n}, s={s}, theta={theta} came out "
+            f"{value}: the integrand under- or overflowed"
+        )
+    return value
+
+
 def quad_moment(
     dist: DistributionSpec, n: int, s: int, theta: float, epsabs: float = 1e-10
 ) -> OracleResult:
     """E X_{n,n-s}^theta by adaptive quadrature against the beta density."""
+    _require_real_powers(dist, theta)
     alpha = tail_of(dist, 0).alpha
     psi = theta / alpha
     if s + 1 - psi <= 0:
@@ -138,7 +159,7 @@ def quad_moment(
         integrand_w, 0.0, cut ** (1.0 / p), epsabs=epsabs / 2, epsrel=1e-11, limit=400
     )
     hi, err_hi = quad(integrand_v, cut, 1.0, epsabs=epsabs / 2, epsrel=1e-11, limit=400)
-    return OracleResult(lo + hi, 0.0, "quad1d", counter.n)
+    return OracleResult(_finite(lo + hi, dist, n, s, theta), 0.0, "quad1d", counter.n)
 
 
 def quad_joint_moment(
@@ -157,6 +178,7 @@ def quad_joint_moment(
         return OracleResult(inner.value, 0.0, "quad2d", inner.cost)
     if s1 < s2:
         raise ValueError(f"need s1 >= s2, got ({s1}, {s2})")
+    _require_real_powers(dist, theta1, theta2)
     alpha = tail_of(dist, 0).alpha
     psi1, psi2 = theta1 / alpha, theta2 / alpha
     if s2 + 1 - psi2 <= 0 or s1 + 1 - psi1 - psi2 <= 0:
@@ -191,13 +213,14 @@ def quad_joint_moment(
     def outer(w):
         counter.n += 1
         v1 = w**p_out
-        q1 = float(upper_quantile(dist, v1))
         if v1 >= 1.0:
             return 0.0
+        q1 = float(upper_quantile(dist, v1))
         log_w = (p_out * s1 + p_out - 1) * math.log(w) + (r1 - 1) * math.log1p(-v1)
         return q1**theta1 * inner(v1) * p_out * math.exp(log_w - log_b)
 
     val, err = quad(outer, 0.0, 1.0, epsabs=epsabs, epsrel=1e-9, limit=300)
+    val = _finite(val, dist, n, (s1, s2), (theta1, theta2))
     return OracleResult(val, 0.0, "quad2d", counter.n)
 
 

@@ -61,6 +61,11 @@ def test_capability_flags():
     assert DistributionSpec("f_dist", (3.0, 5.0)).has_numeric_quantile
     assert DistributionSpec("stable", (0.5, -0.5)).has_sampler
     assert not DistributionSpec("stable", (0.5, 0.0)).has_sampler
+    assert DistributionSpec("cauchy").two_sided
+    assert DistributionSpec("student_t", (3.0,)).two_sided
+    assert DistributionSpec("stable", (0.5, 0.0)).two_sided
+    assert not DistributionSpec("stable", (0.5, -0.5)).two_sided
+    assert not DistributionSpec("f_dist", (3.0, 5.0)).two_sided
     with pytest.raises(CapabilityError):
         upper_quantile(DistributionSpec("stable", (0.5, -0.5)), 0.1)
     with pytest.raises(CapabilityError):
@@ -118,6 +123,54 @@ def test_f_dist_tail_matches_cdf():
             approx = survival_partial(tail, x, 3)
             bound = 2 * abs(tail.c[4]) * x ** (-tail.alpha - 4 * tail.beta)
             assert abs(approx - true) <= bound + 1e-13
+
+
+def test_f_dist_quantile_deep_tail():
+    # M = 2 closed form: 1 - F(x) = (1 + x/3)^{-3} at N = 6, so the upper
+    # quantile is 3 (v^{-1/3} - 1) all the way down the tail
+    dist = DistributionSpec("f_dist", (2.0, 6.0))
+    v = np.logspace(-300, math.log10(0.5), 601)
+    want = 3.0 * (v ** (-1.0 / 3.0) - 1.0)
+    np.testing.assert_allclose(upper_quantile(dist, v), want, rtol=1e-12)
+    for x in v[::60]:
+        got = float(upper_quantile(dist, float(x)))
+        assert got == pytest.approx(3.0 * (x ** (-1.0 / 3.0) - 1.0), rel=1e-12)
+
+
+def test_f_dist_quantile_inverts_scipy_survival():
+    from scipy.stats import f as scipy_f
+
+    v = np.logspace(-250, math.log10(0.5), 501)
+    for M, N in ((3, 5), (1, 4)):
+        dist = DistributionSpec("f_dist", (float(M), float(N)))
+        x = upper_quantile(dist, v)
+        np.testing.assert_allclose(scipy_f.sf(x, M, N), v, rtol=1e-12)
+
+
+def test_student_t_quantile_closed_forms():
+    # N = 2: F^{-1}(1 - v) = (1 - 2v) / sqrt(2 v (1 - v)); N = 1 is Cauchy
+    v = np.logspace(-150, math.log10(0.45), 601)
+    t2 = upper_quantile(DistributionSpec("student_t", (2.0,)), v)
+    np.testing.assert_allclose(t2, (1 - 2 * v) / np.sqrt(2 * v * (1 - v)), rtol=1e-12)
+    t1 = upper_quantile(DistributionSpec("student_t", (1.0,)), v)
+    np.testing.assert_allclose(t1, upper_quantile(DistributionSpec("cauchy"), v), rtol=1e-12)
+    # the centre and the lower half, where the quantile crosses zero
+    u = np.linspace(0.45, 0.999, 123)
+    t2 = upper_quantile(DistributionSpec("student_t", (2.0,)), u)
+    np.testing.assert_allclose(t2, (1 - 2 * u) / np.sqrt(2 * u * (1 - u)), atol=1e-12)
+
+
+def test_t_and_f_cdf_match_scipy_stats():
+    from scipy.stats import f as scipy_f
+    from scipy.stats import t as scipy_t
+
+    for x in (-30.0, -1.0, 0.0, 0.3, 2.0, 50.0, 1e8):
+        for N in (1, 3, 4):
+            got = cdf(DistributionSpec("student_t", (float(N),)), x)
+            assert got == pytest.approx(float(scipy_t.cdf(x, N)), rel=1e-14, abs=1e-300)
+        for M, N in ((2, 6), (3, 5), (1, 4)):
+            got = cdf(DistributionSpec("f_dist", (float(M), float(N))), x)
+            assert got == pytest.approx(float(scipy_f.cdf(x, M, N)), rel=1e-14, abs=1e-300)
 
 
 def test_student_t_reduces_to_cauchy():

@@ -220,3 +220,26 @@ def test_output_determinism():
     _, a = run_cli(argv)
     _, b = run_cli(argv)
     assert a == b
+
+
+def test_verify_does_not_import_scipy_stats():
+    # t and F quantiles come from scipy.special; scipy.stats would add about
+    # half a second and 20 MB to every process that runs an oracle
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import paretotail
+
+    src = str(Path(paretotail.__file__).resolve().parents[1])
+    code = (
+        "import io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from paretotail.cli import run\n"
+        "for d in ('student_t(4)', 'f_dist(2,6)'):\n"
+        "    argv = ['verify', '--dist', d, '--s', '1', '--n', '50,100,200']\n"
+        "    assert run(argv, out=io.StringIO()) == 0, d\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

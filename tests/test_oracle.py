@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from paretotail.betamoments import RankSpec, joint_beta_moment
 from paretotail.catalog import DistributionSpec, parse_distribution
-from paretotail.errors import InfiniteMomentError
+from paretotail.errors import CapabilityError, InfiniteMomentError, ParetoTailError
 from paretotail.oracle import (
     OracleResult,
     RateFit,
@@ -69,6 +69,43 @@ def test_quad_refuses_infinite_moment():
         quad_moment(dist, 10, 1, 2.0)
     with pytest.raises(InfiniteMomentError):
         quad_joint_moment(dist, 10, 1, 0, 1.0, 1.0)
+
+
+def test_quad_moment_f_dist_second_moment_closed_form():
+    # f_dist(2,6) has X = 3 (V^{-1/3} - 1) with V = 1 - U, so
+    # E X_{n,n}^2 = 9 (E V^{-2/3} - 2 E V^{-1/3} + 1) with V ~ Beta(1, n) and
+    # E V^{-c} = n Gamma(1 - c) Gamma(n) / Gamma(n + 1 - c); the integrand
+    # needs the quantile down to v ~ 1e-300
+    def ev(n, c):
+        return n * math.exp(math.lgamma(1 - c) + math.lgamma(n) - math.lgamma(n + 1 - c))
+
+    dist = parse_distribution("f_dist(2,6)")
+    for n in (50, 200):
+        want = 9.0 * (ev(n, 2 / 3) - 2.0 * ev(n, 1 / 3) + 1.0)
+        assert quad_moment(dist, n, 0, 2.0).value == pytest.approx(want, rel=1e-10)
+    assert 9.0 * (ev(50, 2 / 3) - 2.0 * ev(50, 1 / 3) + 1.0) == pytest.approx(
+        246.963313346, rel=1e-11
+    )
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_quad_refuses_non_finite_integral():
+    # p = 200 in the endpoint substitution: w^200 underflows v to 0 and the
+    # integrand to inf * 0; the moment itself is finite
+    with pytest.raises(ParetoTailError, match="nan"):
+        quad_moment(parse_distribution("pareto"), 50, 0, 0.99)
+
+
+def test_quad_refuses_complex_powers_on_two_sided_laws():
+    with pytest.raises(CapabilityError):
+        quad_moment(parse_distribution("cauchy"), 50, 0, 0.9)
+    with pytest.raises(CapabilityError):
+        quad_moment(parse_distribution("student_t(3)"), 50, 0, 2.5)
+    with pytest.raises(CapabilityError):
+        quad_joint_moment(parse_distribution("cauchy"), 50, 2, 1, 0.5, 1.0)
+    # integer powers and one-sided laws still integrate
+    assert quad_moment(parse_distribution("student_t(3)"), 50, 0, 2.0).value > 0
+    assert quad_moment(parse_distribution("frechet(2)"), 50, 0, 0.9).value > 0
 
 
 def test_mc_uniform_top_block():
