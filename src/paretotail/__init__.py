@@ -17,7 +17,6 @@ from .errors import (
 from .series import (
     BellTable,
     FormalSeries,
-    bell_partial_ordinary,
     binomial_coefficient,
     falling_factorial,
     rising_factorial,
@@ -52,7 +51,6 @@ from .expansion import (
     cj_coeff,
     covariance_expansion,
     dm_coeffs,
-    evaluate_expansion,
     leading_product_moment,
     mean_expansion,
     moment_expansion,
@@ -93,7 +91,6 @@ __all__ = [
     "CapabilityError",
     "FormalSeries",
     "BellTable",
-    "bell_partial_ordinary",
     "binomial_coefficient",
     "rising_factorial",
     "falling_factorial",
@@ -129,7 +126,6 @@ __all__ = [
     "covariance_expansion",
     "third_cumulant_expansion",
     "leading_product_moment",
-    "evaluate_expansion",
     "DistributionSpec",
     "parse_distribution",
     "tail_of",

@@ -73,6 +73,8 @@ def suffix_sums(theta: Sequence) -> tuple:
 def _is_integral(x) -> bool:
     if isinstance(x, numbers.Integral):
         return True
+    if isinstance(x, numbers.Rational):
+        return x.denominator == 1
     if isinstance(x, float):
         return x.is_integer()
     return False
@@ -81,19 +83,24 @@ def _is_integral(x) -> bool:
 def gamma_ratio(x, t):
     """Gamma(x + t) / Gamma(x), stable across scalar types.
 
-    Integer t uses the plain product; float arguments use log-gamma; anything
-    else (sympy expressions) is handed to sympy's gamma.
+    An integral t (int, float or ``Fraction``) uses the plain product, so
+    rational inputs give an exact ``Fraction`` (or int) without sympy; other
+    float arguments use log-gamma; anything else (sympy expressions, or a
+    non-integral ``Fraction`` t, whose ratio is irrational) is handed to
+    sympy's gamma.
     """
     if _is_integral(t):
-        t = int(t)
-        if t >= 0:
-            return rising_factorial(x, t)
-        denom = rising_factorial(x + t, -t)
-        if denom == 0:
-            raise InfiniteMomentError(f"gamma ratio pole at Gamma({x}+{t})/Gamma({x})")
-        if isinstance(denom, numbers.Integral):
-            return Fraction(1, denom)
-        return 1 / denom
+        n = int(t)
+        if n >= 0:
+            out = rising_factorial(x, n)
+        else:
+            denom = rising_factorial(x + n, -n)
+            if denom == 0:
+                raise InfiniteMomentError(f"gamma ratio pole at Gamma({x}+{n})/Gamma({x})")
+            out = Fraction(1, denom) if isinstance(denom, numbers.Integral) else 1 / denom
+        # a Fraction t keeps an all-integer product a Fraction, so that a
+        # caller's 1 / out stays exact instead of turning into a float
+        return Fraction(out) if isinstance(t, Fraction) and isinstance(out, int) else out
     if isinstance(x, (int, float)) and isinstance(t, (int, float)):
         if x + t <= 0 or x <= 0:
             raise InfiniteMomentError(

@@ -41,7 +41,6 @@ __all__ = [
     "covariance_expansion",
     "third_cumulant_expansion",
     "leading_product_moment",
-    "evaluate_expansion",
 ]
 
 
@@ -159,7 +158,17 @@ class CovarianceReport:
 
 
 def _quantile_tables(query: MomentQuery) -> list[QuantilePowerSeries]:
-    return [quantile_series(query.tail, t) for t in query.theta]
+    """One quantile series per entry of theta, built once per distinct power.
+
+    The key carries the type, so that 1 and 1.0 (equal, with equal hashes)
+    do not share a series of the wrong scalar type.
+    """
+    built = {}
+    for t in query.theta:
+        key = (type(t), t)
+        if key not in built:
+            built[key] = quantile_series(query.tail, t)
+    return [built[(type(t), t)] for t in query.theta]
 
 
 def cj_coeff(query: MomentQuery, j: int, tables=None):
@@ -229,6 +238,7 @@ def dm_coeffs(query: MomentQuery, M: int, N: int, mmax: int) -> list:
     tables = _quantile_tables(query)
     psibar1 = query.psibar1
     cjs = {}
+    es = {}
     out = []
     for m in range(mmax + 1):
         acc = 0
@@ -241,7 +251,8 @@ def dm_coeffs(query: MomentQuery, M: int, N: int, mmax: int) -> list:
                 continue
             if j not in cjs:
                 cjs[j] = cj_coeff(query, j, tables)
-            acc = acc + gamma_ratio_coeffs(j * a - psibar1, query.imax)[i] * cjs[j]
+                es[j] = gamma_ratio_coeffs(j * a - psibar1, query.imax)
+            acc = acc + es[j][i] * cjs[j]
         out.append(acc)
     return out
 
@@ -302,7 +313,7 @@ def covariance_expansion(tail: TailModel, s1: int, s2: int) -> CovarianceReport:
     F0 = B20 - f1 * f2
     F1 = falling_general(lam, 2) * f1 * f2 - falling_general(2 * lam, 2) * B20 / 2
     F2 = Da - f1 * g2 - g1 * f2
-    return CovarianceReport(F0, F1, F2, Ec, B20, Da, a, min(a, 1.0))
+    return CovarianceReport(F0, F1, F2, Ec, B20, Da, a, min(a, 1 + 0 * a))
 
 
 def _require_unit_alpha(tail: TailModel):
@@ -358,38 +369,34 @@ def third_cumulant_expansion(s1: int, s2: int, s3: int, tail: TailModel):
             f"third cumulant undefined: need s > (2, 1, 0), got {(s1, s2, s3)}"
         )
 
-    def single(s):
-        return leading_product_moment((s,), tail)
+    moments = {}  # depth tuple -> (m0, m1, ma), each computed once per call
 
-    def pair(sa, sb):
-        hi, lo = max(sa, sb), min(sa, sb)
-        return leading_product_moment((hi, lo), tail)
+    def moment(*s):
+        s = tuple(sorted(s, reverse=True))
+        if s not in moments:
+            moments[s] = leading_product_moment(s, tail)
+        return moments[s]
 
-    m_123 = leading_product_moment((s1, s2, s3), tail)
+    m_123 = moment(s1, s2, s3)
 
     def k0_term(a, b, c):
-        return single(a)[0] * pair(b, c)[0]
+        return moment(a)[0] * moment(b, c)[0]
 
     def k1_term(a, b, c):
-        return single(a)[0] * pair(b, c)[1] + single(a)[1] * pair(b, c)[0]
+        return moment(a)[0] * moment(b, c)[1] + moment(a)[1] * moment(b, c)[0]
 
     def ka_term(a, b, c):
-        return single(a)[0] * pair(b, c)[2] + single(a)[2] * pair(b, c)[0]
+        return moment(a)[0] * moment(b, c)[2] + moment(a)[2] * moment(b, c)[0]
 
     def triple_prod_a(a, b, c):
-        return single(a)[0] * single(b)[0] * single(c)[2]
+        return moment(a)[0] * moment(b)[0] * moment(c)[2]
 
-    prod_m0 = single(s1)[0] * single(s2)[0] * single(s3)[0]
+    prod_m0 = moment(s1)[0] * moment(s2)[0] * moment(s3)[0]
     kappa0 = m_123[0] - _sym3(k0_term, s1, s2, s3) + 2 * prod_m0
     kappa1 = m_123[1] - _sym3(k1_term, s1, s2, s3) + 2 * _sym3(
-        lambda a, b, c: single(a)[1] * single(b)[0] * single(c)[0], s1, s2, s3
+        lambda a, b, c: moment(a)[1] * moment(b)[0] * moment(c)[0], s1, s2, s3
     )
     kappa_a = m_123[2] - _sym3(ka_term, s1, s2, s3) + 2 * _sym3(
         triple_prod_a, s1, s2, s3
     )
     return kappa0, kappa1, kappa_a
-
-
-def evaluate_expansion(e: ExpansionSeries, n: int):
-    """Partial-sum evaluation with a truncation indicator."""
-    return e.evaluate(n)

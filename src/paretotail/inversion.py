@@ -11,12 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import SingularInputError
-from .series import (
-    FormalSeries,
-    from_exponential,
-    rising_factorial,
-)
-from .series import BellTable
+from .series import BellTable, FormalSeries, from_exponential
 
 __all__ = ["invert_series", "invert_series_exponential"]
 
@@ -41,17 +36,19 @@ def invert_series(x: FormalSeries, a, k: int) -> FormalSeries:
         raise SingularInputError("forward series has zero constant term")
 
     table = BellTable(x)
+    m = x.order
+    powers = [(-x0) ** (-j) for j in range(m + 1)]
+    facts = [math.factorial(j) for j in range(m + 1)]
     out = [x0 ** (-k)]
-    for i in range(1, x.order + 1):
+    for i in range(1, m + 1):
         n = k + a * i
+        n1 = n + 1
+        rf = 1  # (n+1)_{j-1}, extended by one factor per j
         acc = 0
         for j in range(1, i + 1):
-            acc = acc + (
-                rising_factorial(n + 1, j - 1)
-                * table.value(i, j)
-                * (-x0) ** (-j)
-                / math.factorial(j)
-            )
+            if j > 1:
+                rf = rf * (n1 + (j - 2))
+            acc = acc + rf * table.value(i, j) * powers[j] / facts[j]
         out.append(k * x0 ** (-n) * acc)
     return FormalSeries(out)
 

@@ -79,11 +79,6 @@ def order_stat_density(n: int, r, u) -> float:
     return math.exp(log_num - log_bn)
 
 
-class _Counter:
-    def __init__(self):
-        self.n = 0
-
-
 def _power_sub(exponent_gap: float, target: float = 2.0) -> int:
     """Power p for the substitution v = w^p that lifts an endpoint exponent
     above target - 1."""
@@ -129,19 +124,21 @@ def quad_moment(
     if r < 1:
         raise ValueError(f"depth s={s} too large for n={n}")
     log_b = math.lgamma(r) + math.lgamma(s + 1) - math.lgamma(n + 1)
-    counter = _Counter()
+    evals = 0
 
     def weight(v):
         return math.exp(s * math.log(v) + (r - 1) * math.log1p(-v) - log_b)
 
     def integrand_v(v):
-        counter.n += 1
+        nonlocal evals
+        evals += 1
         return float(upper_quantile(dist, v)) ** theta * weight(v)
 
     p = _power_sub(s + 1 - psi)
 
     def integrand_w(w):
-        counter.n += 1
+        nonlocal evals
+        evals += 1
         v = w**p
         q = float(upper_quantile(dist, v))
         # v^s dv = p w^{p s + p - 1} dw, with the quantile singularity
@@ -159,7 +156,7 @@ def quad_moment(
         integrand_w, 0.0, cut ** (1.0 / p), epsabs=epsabs / 2, epsrel=1e-11, limit=400
     )
     hi, err_hi = quad(integrand_v, cut, 1.0, epsabs=epsabs / 2, epsrel=1e-11, limit=400)
-    return OracleResult(_finite(lo + hi, dist, n, s, theta), 0.0, "quad1d", counter.n)
+    return OracleResult(_finite(lo + hi, dist, n, s, theta), 0.0, "quad1d", evals)
 
 
 def quad_joint_moment(
@@ -190,14 +187,15 @@ def quad_joint_moment(
     log_b = (
         math.lgamma(r1) + math.lgamma(gap) + math.lgamma(s2 + 1) - math.lgamma(n + 1)
     )
-    counter = _Counter()
+    evals = 0
     p_in = _power_sub(s2 + 1 - psi2)
     p_out = _power_sub(s1 + 1 - psi1 - psi2, target=3.0)
 
     def inner(v1):
         # integral over v2 = v1 * t, t = y^{p_in}, of the second coordinate
         def f(y):
-            counter.n += 1
+            nonlocal evals
+            evals += 1
             t = y**p_in
             q2 = float(upper_quantile(dist, v1 * t))
             return (
@@ -211,7 +209,8 @@ def quad_joint_moment(
         return val
 
     def outer(w):
-        counter.n += 1
+        nonlocal evals
+        evals += 1
         v1 = w**p_out
         if v1 >= 1.0:
             return 0.0
@@ -221,7 +220,7 @@ def quad_joint_moment(
 
     val, err = quad(outer, 0.0, 1.0, epsabs=epsabs, epsrel=1e-9, limit=300)
     val = _finite(val, dist, n, (s1, s2), (theta1, theta2))
-    return OracleResult(val, 0.0, "quad2d", counter.n)
+    return OracleResult(val, 0.0, "quad2d", evals)
 
 
 def _check_mc_finiteness(alpha: float, s, theta):

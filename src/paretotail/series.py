@@ -21,11 +21,9 @@ from .errors import UnsupportedOrderError
 __all__ = [
     "FormalSeries",
     "BellTable",
-    "factorial_powers",
     "rising_factorial",
     "falling_factorial",
     "binomial_coefficient",
-    "bell_partial_ordinary",
     "series_power",
     "series_log",
     "series_exp",
@@ -54,15 +52,6 @@ def falling_factorial(x, i: int):
     for j in range(i):
         out = out * (x - j)
     return out
-
-
-def factorial_powers(x, i: int, kind: str):
-    """Rising or falling factorial power of x, by the total product form."""
-    if kind == "rising":
-        return rising_factorial(x, i)
-    if kind == "falling":
-        return falling_factorial(x, i)
-    raise ValueError(f"kind must be 'rising' or 'falling', got {kind!r}")
 
 
 def binomial_coefficient(alpha, i: int):
@@ -133,14 +122,15 @@ class BellTable:
     """
 
     def __init__(self, x: FormalSeries):
-        m = x.order
+        c = x.coeffs
+        m = len(c) - 1
         rows = [[0] * (m + 1) for _ in range(m + 1)]
         rows[0][0] = 1
         for i in range(1, m + 1):
             for r in range(i, m + 1):
                 acc = 0
                 for j in range(1, r - i + 2):
-                    acc = acc + x[j] * rows[r - j][i - 1]
+                    acc = acc + c[j] * rows[r - j][i - 1]
                 rows[r][i] = acc
         self.order = m
         self._rows = rows
@@ -153,21 +143,19 @@ class BellTable:
         return self._rows[r][i]
 
 
-def bell_partial_ordinary(x: FormalSeries, r: int, i: int):
-    """Coefficient of t^r in S^i for S = x_1 t + x_2 t^2 + ... (x_0 ignored)."""
-    return BellTable(x).value(r, i)
-
-
 def series_power(x: FormalSeries, alpha, lam, table: BellTable | None = None) -> FormalSeries:
     """(1 + lam*S)^alpha as a series: coefficient r is
     sum_i B_{ri}(x) (alpha choose i) lam^i."""
     if table is None:
         table = BellTable(x)
+    m = x.order
+    binoms = [binomial_coefficient(alpha, i) for i in range(m + 1)]
+    lams = [lam**i for i in range(m + 1)]
     out = []
-    for r in range(x.order + 1):
+    for r in range(m + 1):
         acc = 1 if r == 0 else 0
         for i in range(1, r + 1):
-            acc = acc + table.value(r, i) * binomial_coefficient(alpha, i) * lam**i
+            acc = acc + table.value(r, i) * binoms[i] * lams[i]
         out.append(acc)
     return FormalSeries(out)
 

@@ -218,27 +218,30 @@ def test_third_cumulant_closed_forms():
 def test_e_series_recurrence_exact():
     # n!/Gamma(n+1+theta) satisfies f(n) = f(n-1) n/(n+theta); in terms of
     # x = 1/n the coefficient series must satisfy
-    # E(x) = (1-x)^{-theta} E(x/(1-x)) / (1 + theta x)
+    # E(x) = (1-x)^{-theta} E(x/(1-x)) / (1 + theta x).
+    # Each factor is its explicit truncated series (a list of coefficients
+    # of x^0 .. x^8), so the identity is checked exactly at every order.
+    # e_i enters the x^i coefficient once on each side and cancels, so the
+    # x^i coefficient checks e_0 .. e_{i-1}; e_8 is set to 0 to check e_7.
     from paretotail.betamoments import gamma_ratio_coeffs
 
     th = sp.Symbol("theta")
-    x = sp.Symbol("x")
-    es = gamma_ratio_coeffs(th, 7)
-    order = 8
+    es = gamma_ratio_coeffs(th, 7) + [0]
+    order = 9
 
-    def trunc(expr):
-        return sp.series(expr, x, 0, order).removeO()
+    def mul(p, q):
+        return [sp.expand(sum(p[j] * q[k - j] for j in range(k + 1))) for k in range(order)]
 
-    sub = sp.series(x / (1 - x), x, 0, order).removeO()
-    e_shift = sum(
-        es[i] * trunc(sub**i) for i in range(order)
-    )
-    rhs = trunc(
-        sp.expand(e_shift) * (1 - x) ** (-th) / (1 + th * x)
-    )
-    rhs = sp.expand(rhs)
+    sub = [0] + [1] * (order - 1)  # x/(1-x)
+    sub_pow = [[1] + [0] * (order - 1)]
+    for _ in range(1, order):
+        sub_pow.append(mul(sub_pow[-1], sub))
+    e_shift = [sum(es[i] * sub_pow[i][k] for i in range(order)) for k in range(order)]
+    binom = [sp.rf(th, k) / sp.factorial(k) for k in range(order)]  # (1-x)^{-theta}
+    geom = [(-th) ** k for k in range(order)]  # 1/(1 + theta x)
+    rhs = mul(mul(e_shift, binom), geom)
     for i in range(order):
-        assert sp.simplify(rhs.coeff(x, i) - es[i]) == 0, i
+        assert sp.expand(rhs[i] - es[i]) == 0, i
 
 
 def test_ledger_entries_name_real_tests():

@@ -1,10 +1,16 @@
 """Expansion machinery: term grids, closed-form specializations, rescaling."""
 
 import math
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import paretotail
+from paretotail import expansion
 from paretotail.betamoments import (
     RankSpec,
     joint_beta_moment,
@@ -17,7 +23,6 @@ from paretotail.expansion import (
     cj_coeff,
     covariance_expansion,
     dm_coeffs,
-    evaluate_expansion,
     leading_product_moment,
     mean_expansion,
     moment_expansion,
@@ -276,8 +281,78 @@ def test_truncated_and_evaluate():
     cut = exp.truncated(2.0)
     assert all(i + 2 * j <= 2.0 for (i, j) in cut.terms)
     assert cut.remainder_order <= 3.0
-    value, last = evaluate_expansion(cut, 50)
+    value, last = cut.evaluate(50)
     full, _ = exp.evaluate(50)
     assert value == pytest.approx(full, abs=10 * last + 1e-6)
     with pytest.raises(ValueError):
         exp.evaluate(0)
+
+
+def _exact_tail(beta):
+    c = [Fraction(6, 5), Fraction(-3, 10), Fraction(1, 20), Fraction(-1, 100)]
+    return TailModel(Fraction(1), Fraction(beta), FormalSeries(c))
+
+
+def test_quantile_series_once_per_distinct_power(monkeypatch):
+    calls = []
+    original = expansion.quantile_series
+
+    def counting(tail, theta):
+        calls.append(theta)
+        return original(tail, theta)
+
+    monkeypatch.setattr(expansion, "quantile_series", counting)
+    tail = _exact_tail(1)
+    one = Fraction(1)
+    for theta, want in (
+        ((one, one, one), [one]),
+        ((one, 2 * one, one), [one, 2 * one]),
+        ((one, 1.0, one), [one, 1.0]),  # equal, but each needs its own scalar type
+    ):
+        calls.clear()
+        moment_expansion(MomentQuery(tail, (5, 3, 1), theta, imax=3, jmax=1))
+        assert [(type(t), t) for t in calls] == [(type(t), t) for t in want], theta
+
+
+def test_third_cumulant_computes_each_depth_set_once(monkeypatch):
+    calls = []
+    original = expansion.leading_product_moment
+
+    def counting(s, tail):
+        calls.append(tuple(s))
+        return original(s, tail)
+
+    monkeypatch.setattr(expansion, "leading_product_moment", counting)
+    tail = TailModel(Fraction(1), Fraction(1), FormalSeries([Fraction(1), Fraction(0), Fraction(0)]))
+    assert third_cumulant_expansion(5, 3, 1, tail) == (Fraction(1, 30), Fraction(-7, 30), 0)
+    assert sorted(calls) == [(1,), (3,), (3, 1), (5,), (5, 1), (5, 3), (5, 3, 1)]
+
+
+def test_exact_pipeline_needs_no_sympy():
+    # a Fraction tail with integral moment exponents stays in Fraction
+    # arithmetic end to end; sympy is blocked in a fresh interpreter
+    src = str(Path(paretotail.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "sys.modules['sympy'] = None\n"
+        "from fractions import Fraction\n"
+        "from paretotail import FormalSeries, TailModel, MomentQuery, covariance_expansion, "
+        "gamma_ratio_coeffs, moment_expansion, third_cumulant_expansion\n"
+        "out = []\n"
+        "for beta in (1, 2):\n"
+        "    tail = TailModel(Fraction(1), Fraction(beta), FormalSeries("
+        "[Fraction(6, 5), Fraction(-3, 10), Fraction(1, 20), Fraction(-1, 100)]))\n"
+        "    for s in ((2,), (3, 1), (5, 3, 1)):\n"
+        "        e = moment_expansion(MomentQuery(tail, s, (Fraction(1),) * len(s)))\n"
+        "        out += [e.lead, e.a, e.remainder_order, *e.terms.values()]\n"
+        "    cov = covariance_expansion(tail, 3, 1)\n"
+        "    out += [cov.F0, cov.F1, cov.F2, cov.Ec, cov.B20, cov.Da, cov.a, cov.a0]\n"
+        "    out += third_cumulant_expansion(5, 3, 1, tail)\n"
+        "out += gamma_ratio_coeffs(Fraction(-2), 7) + gamma_ratio_coeffs(Fraction(3), 7)\n"
+        "print(len(out), [repr(x) for x in out if type(x) is not Fraction])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    count, not_fractions = proc.stdout.split(" ", 1)
+    assert int(count) > 100 and not_fractions.strip() == "[]", proc.stdout
