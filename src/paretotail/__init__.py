@@ -26,7 +26,7 @@ from .series import (
     series_multiply,
     series_power,
 )
-from .inversion import invert_series, invert_series_exponential
+from .inversion import invert_series
 from .quantile import (
     QuantilePowerSeries,
     TailModel,
@@ -51,7 +51,7 @@ from .expansion import (
     cj_coeff,
     covariance_expansion,
     dm_coeffs,
-    leading_product_moment,
+    joint_cumulant_expansion,
     mean_expansion,
     moment_expansion,
     normalized_moment_expansion,
@@ -100,7 +100,6 @@ __all__ = [
     "series_multiply",
     "series_general_power",
     "invert_series",
-    "invert_series_exponential",
     "TailModel",
     "QuantilePowerSeries",
     "quantile_series",
@@ -124,8 +123,8 @@ __all__ = [
     "mean_expansion",
     "pair_moment_expansion",
     "covariance_expansion",
+    "joint_cumulant_expansion",
     "third_cumulant_expansion",
-    "leading_product_moment",
     "DistributionSpec",
     "parse_distribution",
     "tail_of",

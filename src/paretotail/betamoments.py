@@ -270,7 +270,9 @@ def gamma_ratio_eval(n: int, theta, imax: int):
         raise InfiniteMomentError(
             f"n!/Gamma(n+1+theta) pole: n + 1 + theta = {n + 1 + theta} <= 0"
         )
-    exact = 1 / gamma_ratio(n + 1, theta)
+    # an int or Fraction theta keeps the reciprocal exact (1 / int is a float)
+    one = Fraction(1) if isinstance(theta, numbers.Rational) else 1
+    exact = one / gamma_ratio(n + 1, theta)
     coeffs = gamma_ratio_coeffs(theta, imax)
     series = n ** (-theta) * sum(e * n ** (-i) for i, e in enumerate(coeffs))
     return exact, series

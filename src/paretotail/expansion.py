@@ -13,20 +13,17 @@ an exact final rescaling of the same terms.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .betamoments import (
-    falling_general,
-    beta_ratio,
-    gamma_ratio_coeffs,
-    n_free_factor,
-    suffix_sums,
-)
+from .betamoments import gamma_ratio_coeffs, n_free_factor, suffix_sums
 from .errors import InfiniteMomentError, UnsupportedOrderError
 from .quantile import QuantilePowerSeries, TailModel, quantile_series
+from .series import FormalSeries
 
 __all__ = [
     "MomentQuery",
@@ -38,9 +35,9 @@ __all__ = [
     "dm_coeffs",
     "mean_expansion",
     "pair_moment_expansion",
+    "joint_cumulant_expansion",
     "covariance_expansion",
     "third_cumulant_expansion",
-    "leading_product_moment",
 ]
 
 
@@ -139,10 +136,49 @@ class ExpansionSeries:
         rem = min(rem, self.remainder_order)
         return ExpansionSeries(self.lead, self.a, kept, rem)
 
+    # Grid algebra.  A coefficient outside the index box (i <= imax,
+    # j <= jmax) of either operand would miss omitted terms, so results keep
+    # the smaller box; the remainder tag is the smaller of the two.
+
+    def _combine(self, other: "ExpansionSeries", lead, pairs) -> "ExpansionSeries":
+        if self.a != other.a:
+            raise ValueError(f"grids on different gaps: a = {self.a} and {other.a}")
+        (i1, j1), (i2, j2) = self._box(), other._box()
+        imax, jmax = min(i1, i2), min(j1, j2)
+        terms = {}
+        for ij, c in pairs:
+            if ij[0] <= imax and ij[1] <= jmax:
+                terms[ij] = terms[ij] + c if ij in terms else c
+        return ExpansionSeries(lead, self.a, terms, min(self.remainder_order, other.remainder_order))
+
+    def _box(self) -> tuple:
+        return tuple(max((ij[k] for ij in self.terms), default=-1) for k in (0, 1))
+
+    def __add__(self, other: "ExpansionSeries") -> "ExpansionSeries":
+        if self.lead != other.lead:
+            raise ValueError(f"sum of grids with different leads {self.lead} and {other.lead}")
+        return self._combine(other, self.lead, [*self.terms.items(), *other.terms.items()])
+
+    def __sub__(self, other: "ExpansionSeries") -> "ExpansionSeries":
+        return self + other.rescaled(-1)
+
+    def __mul__(self, other: "ExpansionSeries") -> "ExpansionSeries":
+        pairs = (
+            ((i1 + i2, j1 + j2), c1 * c2)
+            for (i1, j1), c1 in self.terms.items()
+            for (i2, j2), c2 in other.terms.items()
+        )
+        return self._combine(other, self.lead + other.lead, pairs)
+
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    """Covar(Y_{ns1}, Y_{ns2}) = F0 + F1/n + Ec*F2/n^a + O(n^{-2*a0})."""
+    """Covar(Y_{ns1}, Y_{ns2}) = F0 + F1/n + Ec*F2/n^a + O(n^{-2*a0}).
+
+    ``F2`` and ``Da`` are n^{-a} coefficients per unit ``Ec``, the slope
+    constant lam * c_0^{-a-1} * c_1: ``Ec*F2`` is the covariance's and
+    ``Ec*Da`` the pair moment's.  ``B20`` is the pair moment's leading term.
+    """
 
     F0: float
     F1: float
@@ -161,13 +197,18 @@ def _quantile_tables(query: MomentQuery) -> list[QuantilePowerSeries]:
     """One quantile series per entry of theta, built once per distinct power.
 
     The key carries the type, so that 1 and 1.0 (equal, with equal hashes)
-    do not share a series of the wrong scalar type.
+    do not share a series of the wrong scalar type.  Reversion and powers
+    are triangular (C_0..C_j depend on c_0..c_j only), so the tail is cut
+    to c_0..c_jmax first.
     """
+    tail = query.tail
+    if tail.order > query.jmax:
+        tail = TailModel(tail.alpha, tail.beta, tail.c.truncate(query.jmax))
     built = {}
     for t in query.theta:
         key = (type(t), t)
         if key not in built:
-            built[key] = quantile_series(query.tail, t)
+            built[key] = quantile_series(tail, t)
     return [built[(type(t), t)] for t in query.theta]
 
 
@@ -282,121 +323,80 @@ def pair_moment_expansion(
     return normalized_moment_expansion(q)
 
 
-def pi_s(s1: int, s2: int, lam):
-    """pi_s(lam) = b(s1 - s2, s2 + 1 : lam)."""
-    return beta_ratio(s1 - s2, s2 + 1, lam)
+def _set_partitions(items: list):
+    """Set partitions of ``items``, the one-block partition first; each block
+    keeps the order of ``items``."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for rest in _set_partitions(items[1:]):
+        for b in range(len(rest)):
+            yield rest[:b] + [[first] + rest[b]] + rest[b + 1 :]
+        yield [[first]] + rest
+
+
+def _moment_grids(tail: TailModel, imax: int, jmax: int):
+    """A function from depth tuples to the grid of E prod Y_{n,s_i}, which
+    builds each grid once; the grids live as long as the function."""
+    one = 1 + 0 * tail.c[0]
+    grids = {}
+
+    def grid(depths: tuple) -> ExpansionSeries:
+        if depths not in grids:
+            q = MomentQuery(tail, depths, (one,) * len(depths), imax=imax, jmax=jmax)
+            grids[depths] = normalized_moment_expansion(q)
+        return grids[depths]
+
+    return grid
+
+
+def _cumulant(grid, s: tuple) -> ExpansionSeries:
+    """kappa = sum_pi (-1)^{|pi|-1} (|pi|-1)! prod_{B in pi} E prod_{i in B} Y_{n,s_i}."""
+    total = None
+    for blocks in _set_partitions(list(range(len(s)))):
+        term = functools.reduce(operator.mul, (grid(tuple(s[i] for i in b)) for b in blocks))
+        m = len(blocks)
+        term = term.rescaled((-1) ** (m - 1) * math.factorial(m - 1))
+        total = term if total is None else total + term
+    return total
+
+
+def joint_cumulant_expansion(
+    tail: TailModel, s: Sequence[int], imax: int = 1, jmax: int = 1
+) -> ExpansionSeries:
+    """Term grid of the joint cumulant of (Y_{n,s_1}, ..., Y_{n,s_k}) for
+    s_1 >= ... >= s_k, combined from the product-moment grids by the
+    partition formula."""
+    return _cumulant(_moment_grids(tail, imax, jmax), tuple(s))
 
 
 def covariance_expansion(tail: TailModel, s1: int, s2: int) -> CovarianceReport:
-    """Leading covariance terms of the normalized top order statistics.
+    """Leading covariance terms of the normalized top order statistics, read
+    off the k = 2 cumulant grid and the pair-moment grid.
 
-    Derived by subtracting the product of the two mean displays from the
-    pair-moment display; the tail-driven correction enters at n^{-a}.
+    The normalized grids do not depend on the scale of X, and their n^{-a}
+    column is linear in c_1; so every coefficient but Ec comes from the tail
+    (c_0, c_1) = (1, alpha), for which Ec = 1.
     """
-    lam = 1 / tail.alpha
+    one = 1 + 0 * tail.c[0]
+    lam = one / tail.alpha
     a = tail.a
-    if s1 < s2:
-        raise ValueError(f"need s1 >= s2, got ({s1}, {s2})")
-    if not (s1 > 2 * lam - 1 and s2 > lam - 1):
-        raise InfiniteMomentError(
-            f"covariance undefined: need s1 > 2/alpha - 1 and s2 > 1/alpha - 1, "
-            f"got ({s1}, {s2}) with alpha={tail.alpha}"
-        )
-    c0, c1 = tail.c[0], tail.c[1] if tail.order >= 1 else 0.0
-    Ec = lam * c0 ** (-a - 1) * c1
-    B20 = pi_s(s1, s2, -lam) / falling_general(s1, 2 * lam)
-    Da = (pi_s(s1, s2, -lam) + pi_s(s1, s2, a - lam)) / falling_general(s1, 2 * lam - a)
-    f1 = 1 / falling_general(s1, lam)
-    f2 = 1 / falling_general(s2, lam)
-    g1 = 1 / falling_general(s1, lam - a)
-    g2 = 1 / falling_general(s2, lam - a)
-    F0 = B20 - f1 * f2
-    F1 = falling_general(lam, 2) * f1 * f2 - falling_general(2 * lam, 2) * B20 / 2
-    F2 = Da - f1 * g2 - g1 * f2
-    return CovarianceReport(F0, F1, F2, Ec, B20, Da, a, min(a, 1 + 0 * a))
-
-
-def _require_unit_alpha(tail: TailModel):
-    if tail.alpha != 1:
-        raise ValueError(f"this display requires alpha = 1, got {tail.alpha}")
-
-
-def leading_product_moment(s: Sequence[int], tail: TailModel):
-    """(m0, m1, ma) in E prod Y_{n,s_i} = m0 + m1/n + ma/n^a + O(n^{-2*a0})
-    for alpha = 1 tails.
-
-    m0 = B(s : -1bar); m1 = -<k>_2/2 * m0; ma = Ec * sum_j B(s : a I_j - 1bar).
-    """
-    _require_unit_alpha(tail)
-    s = tuple(s)
-    k = len(s)
-    if any(s[i] < s[i + 1] for i in range(k - 1)):
-        raise ValueError(f"depths must be nonincreasing, got {s}")
-    for i, si in enumerate(s):
-        if not si > k - (i + 1):
-            raise InfiniteMomentError(
-                f"product moment infinite: need s_i > k - i, got s={s}"
-            )
-    a = tail.a
-    c0, c1 = tail.c[0], tail.c[1] if tail.order >= 1 else 0.0
-    Ec = c0 ** (-a - 1) * c1
-    m0 = n_free_factor(s, (-1,) * k)
-    m1 = -falling_general(k, 2) * m0 / 2
-    bkdot = 0
-    for j in range(1, k + 1):
-        tau = tuple(a - 1 if m == j else -1 for m in range(1, k + 1))
-        bkdot = bkdot + n_free_factor(s, tau)
-    return m0, m1, Ec * bkdot
-
-
-def _sym3(f, s1, s2, s3):
-    """Sum of f(a, {b, c}) over the three splits of {s1, s2, s3}."""
-    return f(s1, s2, s3) + f(s2, s3, s1) + f(s3, s1, s2)
+    c1 = tail.c[1] if tail.order >= 1 else 0 * one
+    Ec = lam * tail.c[0] ** (-a - 1) * c1
+    unit = TailModel(tail.alpha, tail.beta, FormalSeries([one, tail.alpha * one]))
+    grid = _moment_grids(unit, 1, 1)
+    kappa = _cumulant(grid, (s1, s2)).terms
+    pair = grid((s1, s2)).terms
+    return CovarianceReport(
+        kappa[(0, 0)], kappa[(1, 0)], kappa[(0, 1)], Ec, pair[(0, 0)], pair[(0, 1)], a, min(a, 1 + 0 * a)
+    )
 
 
 def third_cumulant_expansion(s1: int, s2: int, s3: int, tail: TailModel):
-    """(kappa0, kappa1, kappa_a) for the third joint cumulant of
-    (Y_{ns1}, Y_{ns2}, Y_{ns3}) at alpha = 1, s1 >= s2 >= s3.
-
-    Assembled from the single, pair and triple product-moment coefficients by
-    the moment-to-cumulant combination; for a = 1 kappa_a vanishes.
-    """
-    _require_unit_alpha(tail)
-    if not (s1 >= s2 >= s3):
-        raise ValueError(f"need s1 >= s2 >= s3, got {(s1, s2, s3)}")
-    if not (s1 > 2 and s2 > 1 and s3 > 0):
-        raise InfiniteMomentError(
-            f"third cumulant undefined: need s > (2, 1, 0), got {(s1, s2, s3)}"
-        )
-
-    moments = {}  # depth tuple -> (m0, m1, ma), each computed once per call
-
-    def moment(*s):
-        s = tuple(sorted(s, reverse=True))
-        if s not in moments:
-            moments[s] = leading_product_moment(s, tail)
-        return moments[s]
-
-    m_123 = moment(s1, s2, s3)
-
-    def k0_term(a, b, c):
-        return moment(a)[0] * moment(b, c)[0]
-
-    def k1_term(a, b, c):
-        return moment(a)[0] * moment(b, c)[1] + moment(a)[1] * moment(b, c)[0]
-
-    def ka_term(a, b, c):
-        return moment(a)[0] * moment(b, c)[2] + moment(a)[2] * moment(b, c)[0]
-
-    def triple_prod_a(a, b, c):
-        return moment(a)[0] * moment(b)[0] * moment(c)[2]
-
-    prod_m0 = moment(s1)[0] * moment(s2)[0] * moment(s3)[0]
-    kappa0 = m_123[0] - _sym3(k0_term, s1, s2, s3) + 2 * prod_m0
-    kappa1 = m_123[1] - _sym3(k1_term, s1, s2, s3) + 2 * _sym3(
-        lambda a, b, c: moment(a)[1] * moment(b)[0] * moment(c)[0], s1, s2, s3
-    )
-    kappa_a = m_123[2] - _sym3(ka_term, s1, s2, s3) + 2 * _sym3(
-        triple_prod_a, s1, s2, s3
-    )
-    return kappa0, kappa1, kappa_a
+    """(kappa0, kappa1, kappa_a) in the third joint cumulant of
+    (Y_{ns1}, Y_{ns2}, Y_{ns3}) = kappa0 + kappa1/n + kappa_a/n^a + ...,
+    for s1 >= s2 >= s3."""
+    jmax = min(tail.order, 1)  # a tail without c_1 has no n^{-a} term
+    kappa = joint_cumulant_expansion(tail, (s1, s2, s3), imax=1, jmax=jmax).terms
+    return kappa[(0, 0)], kappa[(1, 0)], kappa.get((0, 1), 0 * kappa[(0, 0)])

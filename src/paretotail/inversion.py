@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 
 from .errors import SingularInputError
-from .series import BellTable, FormalSeries, from_exponential
+from .series import BellTable, FormalSeries
 
-__all__ = ["invert_series", "invert_series_exponential"]
+__all__ = ["invert_series"]
 
 
 def invert_series(x: FormalSeries, a, k: int) -> FormalSeries:
@@ -50,24 +50,4 @@ def invert_series(x: FormalSeries, a, k: int) -> FormalSeries:
                 rf = rf * (n1 + (j - 2))
             acc = acc + rf * table.value(i, j) * powers[j] / facts[j]
         out.append(k * x0 ** (-n) * acc)
-    return FormalSeries(out)
-
-
-def invert_series_exponential(y: FormalSeries, a, k: int) -> FormalSeries:
-    """Exponential-view reversion: ystar_i with (u/v)^k = sum ystar_i v^{ia}/(ia)!.
-
-    Thin rescaling wrapper around :func:`invert_series` via x_j = y_j / j!;
-    requires the grid points i*a to be nonnegative integers.
-    """
-    x = from_exponential(y)
-    xstar = invert_series(x, a, k)
-    out = []
-    for i, c in enumerate(xstar.coeffs):
-        g = a * i
-        if g != int(g) or g < 0:
-            raise ValueError(
-                "exponential reversion needs integer grid points i*a, "
-                f"got {g} at i={i}"
-            )
-        out.append(math.factorial(int(g)) * c)
     return FormalSeries(out)

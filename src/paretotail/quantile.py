@@ -8,7 +8,9 @@ exponents i*a - psi, where a = beta/alpha and psi = theta/alpha.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import SingularInputError
 from .inversion import invert_series
@@ -41,6 +43,9 @@ class TailModel:
 
     @property
     def a(self):
+        """beta / alpha, a ``Fraction`` when both are integers."""
+        if isinstance(self.alpha, numbers.Integral) and isinstance(self.beta, numbers.Integral):
+            return Fraction(self.beta, self.alpha)
         return self.beta / self.alpha
 
     @property

@@ -29,8 +29,6 @@ __all__ = [
     "series_exp",
     "series_multiply",
     "series_general_power",
-    "to_exponential",
-    "from_exponential",
 ]
 
 
@@ -211,13 +209,3 @@ def series_general_power(x: FormalSeries, p) -> FormalSeries:
         raise SingularInputError("general power needs a nonzero constant term")
     tail = FormalSeries((0,) + x.coeffs[1:])
     return series_power(tail, p, 1 / (x0 * 1)).scale(x0**p)
-
-
-def to_exponential(x: FormalSeries) -> FormalSeries:
-    """Convert ordinary coefficients x_j to exponential ones y_j = j! x_j."""
-    return FormalSeries([math.factorial(j) * c for j, c in enumerate(x.coeffs)])
-
-
-def from_exponential(y: FormalSeries) -> FormalSeries:
-    """Convert exponential coefficients y_j back to ordinary x_j = y_j / j!."""
-    return FormalSeries([c / math.factorial(j) for j, c in enumerate(y.coeffs)])

@@ -214,3 +214,14 @@ def test_gamma_ratio_eval_agreement():
         gamma_ratio_eval(2, -4, 3)
     with pytest.raises(UnsupportedOrderError):
         gamma_ratio_coeffs(1.0, 8)
+
+
+def test_gamma_ratio_eval_exact_side_stays_exact():
+    # 10!/Gamma(13) = 1/132; an int or Fraction theta keeps it a Fraction,
+    # a float theta keeps the float
+    for theta in (2, Fraction(2)):
+        exact, _ = gamma_ratio_eval(10, theta, 3)
+        assert type(exact) is Fraction and exact == Fraction(1, 132)
+    assert gamma_ratio_eval(10, -2, 3)[0] == Fraction(90)
+    exact, _ = gamma_ratio_eval(10, 2.0, 3)
+    assert type(exact) is float and exact == pytest.approx(1 / 132, rel=1e-15)

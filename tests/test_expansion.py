@@ -23,7 +23,7 @@ from paretotail.expansion import (
     cj_coeff,
     covariance_expansion,
     dm_coeffs,
-    leading_product_moment,
+    joint_cumulant_expansion,
     mean_expansion,
     moment_expansion,
     normalized_moment_expansion,
@@ -123,18 +123,19 @@ def test_tie_invariance(tail, s):
         assert single.terms[ij] == pytest.approx(c, rel=1e-10, abs=1e-12)
 
 
+def _product_moment_grid(tail, s):
+    return normalized_moment_expansion(MomentQuery(tail, s, (1.0,) * len(s)))
+
+
 def test_product_moment_leading():
+    # alpha = 1: E prod Y_{n,s_i} leads with m0 = prod_i 1/(s_i - k + i)
     tail = make_tail(1.0, 0.5, [1.3, 0.2, -0.1])
     for s in ((4, 2, 1), (5, 3, 2), (3, 2)):
         k = len(s)
-        m0, _, _ = leading_product_moment(s, tail)
-        want = 1.0
+        m0 = 1.0
         for i, si in enumerate(s, start=1):
-            want /= si - k + i
-        assert m0 == pytest.approx(want, rel=1e-12)
-        # agrees with the generic grid
-        exp = normalized_moment_expansion(MomentQuery(tail, s, (1.0,) * k))
-        assert exp.terms[(0, 0)] == pytest.approx(m0, rel=1e-12)
+            m0 /= si - k + i
+        assert _product_moment_grid(tail, s).terms[(0, 0)] == pytest.approx(m0, rel=1e-12)
 
 
 def test_product_moment_first_order():
@@ -142,30 +143,30 @@ def test_product_moment_first_order():
     tail = make_tail(1.0, 0.5, [1.3, 0.2, -0.1])
     for s in ((4, 2, 1), (5, 3, 2), (3, 2)):
         k = len(s)
-        m0, m1, _ = leading_product_moment(s, tail)
-        assert m1 == pytest.approx(-k * (k - 1) / 2 * m0, rel=1e-12)
-        exp = normalized_moment_expansion(MomentQuery(tail, s, (1.0,) * k))
-        assert exp.terms[(1, 0)] == pytest.approx(m1, rel=1e-12)
+        terms = _product_moment_grid(tail, s).terms
+        assert terms[(1, 0)] == pytest.approx(-k * (k - 1) / 2 * terms[(0, 0)], rel=1e-12)
 
 
 def test_product_moment_tail_term():
-    # the n^{-a} coefficient matches the generic (0, 1) grid entry
+    # the n^{-a} coefficient is ma = Ec * sum_j B(s : a I_j - 1bar), with
+    # Ec = c_0^{-a-1} c_1 at alpha = 1
     tail = make_tail(1.0, 0.5, [1.3, 0.2, -0.1])
+    a = tail.a
+    Ec = tail.c[0] ** (-a - 1) * tail.c[1]
     for s in ((4, 2, 1), (5, 3, 2)):
         k = len(s)
-        _, _, ma = leading_product_moment(s, tail)
-        exp = normalized_moment_expansion(MomentQuery(tail, s, (1.0,) * k))
-        assert exp.terms[(0, 1)] == pytest.approx(ma, rel=1e-12)
+        ma = Ec * sum(
+            n_free_factor(s, tuple(a - 1 if m == j else -1 for m in range(k))) for j in range(k)
+        )
+        assert _product_moment_grid(tail, s).terms[(0, 1)] == pytest.approx(ma, rel=1e-12)
 
 
 def test_product_moment_guards():
     tail = make_tail(1.0, 1.0, [1.0, 0.1])
     with pytest.raises(InfiniteMomentError):
-        leading_product_moment((2, 1, 1), tail)
+        joint_cumulant_expansion(tail, (2, 1, 1))
     with pytest.raises(ValueError):
-        leading_product_moment((1, 2), tail)
-    with pytest.raises(ValueError):
-        leading_product_moment((3, 2), make_tail(2.0, 1.0, [1.0, 0.1]))
+        joint_cumulant_expansion(tail, (1, 2))
 
 
 def test_covariance_matches_term_combination():
@@ -316,16 +317,84 @@ def test_quantile_series_once_per_distinct_power(monkeypatch):
 
 def test_third_cumulant_computes_each_depth_set_once(monkeypatch):
     calls = []
-    original = expansion.leading_product_moment
+    original = expansion.normalized_moment_expansion
 
-    def counting(s, tail):
-        calls.append(tuple(s))
-        return original(s, tail)
+    def counting(query):
+        calls.append(query.s)
+        return original(query)
 
-    monkeypatch.setattr(expansion, "leading_product_moment", counting)
+    monkeypatch.setattr(expansion, "normalized_moment_expansion", counting)
     tail = TailModel(Fraction(1), Fraction(1), FormalSeries([Fraction(1), Fraction(0), Fraction(0)]))
     assert third_cumulant_expansion(5, 3, 1, tail) == (Fraction(1, 30), Fraction(-7, 30), 0)
     assert sorted(calls) == [(1,), (3,), (3, 1), (5,), (5, 1), (5, 3), (5, 3, 1)]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5])
+def test_third_cumulant_any_alpha(alpha):
+    # pure Pareto tail at alpha != 1: the exact finite-n third cumulant of
+    # the normalized top three differs from kappa0 + kappa1/n by O(n^-2)
+    tail = make_tail(alpha, 1.0, [1.0, 0.0])
+    s = (5, 3, 1)
+    k0, k1, ka = third_cumulant_expansion(*s, tail)
+    assert ka == 0
+
+    def M(n, *depths):
+        ranks = RankSpec(n, tuple(n - d for d in depths))
+        return joint_beta_moment(ranks, (-1 / alpha,) * len(depths)) / n ** (len(depths) / alpha)
+
+    scaled = []
+    for n in (100, 200, 400, 800, 1600):
+        a, b, c = s
+        kappa_n = (
+            M(n, a, b, c)
+            - M(n, a) * M(n, b, c)
+            - M(n, b) * M(n, a, c)
+            - M(n, c) * M(n, a, b)
+            + 2 * M(n, a) * M(n, b) * M(n, c)
+        )
+        scaled.append((kappa_n - (k0 + k1 / n)) * n**2)
+    assert max(map(abs, scaled)) <= 1.2 * min(map(abs, scaled)), scaled
+
+
+def test_grid_algebra_needs_a_shared_gap():
+    m1 = mean_expansion(make_tail(1.0, 1.0, [1.0, 0.2, 0.1]), 2)
+    m2 = mean_expansion(make_tail(1.0, 2.0, [1.0, 0.2, 0.1]), 2)
+    for op in (lambda: m1 + m2, lambda: m1 - m2, lambda: m1 * m2):
+        with pytest.raises(ValueError):
+            op()
+    raw = moment_expansion(MomentQuery(make_tail(1.0, 1.0, [1.0, 0.2, 0.1]), (2,), (1.0,)))
+    assert (raw * raw).lead == 2 * raw.lead
+    with pytest.raises(ValueError):  # sums need equal leads
+        raw + raw * raw
+
+
+def test_second_cumulant_is_pair_minus_mean_product():
+    tail = make_tail(1.5, 2.0, [1.2, -0.3, 0.05])
+    s1, s2 = 5, 2
+    got = joint_cumulant_expansion(tail, (s1, s2), imax=2, jmax=2)
+    pair = pair_moment_expansion(tail, s1, s2, imax=2, jmax=2).terms
+    m1 = mean_expansion(tail, s1, imax=2, jmax=2).terms
+    m2 = mean_expansion(tail, s2, imax=2, jmax=2).terms
+    assert set(got.terms) == set(pair)
+    for (i, j), c in pair.items():
+        prod = sum(
+            m1[(i1, j1)] * m2[(i - i1, j - j1)] for i1 in range(i + 1) for j1 in range(j + 1)
+        )
+        assert got.terms[(i, j)] == pytest.approx(c - prod, rel=1e-12, abs=1e-15), (i, j)
+    assert got.lead == 0
+    assert got.remainder_order == pytest.approx(min(3, 3 * tail.a))
+
+
+def test_float_tail_gives_float_displays():
+    for tail in (
+        make_tail(1.0, 1.0, [1.2, -0.3, 0.05]),
+        make_tail(1.0, 2.0, [0.9, -0.2, 0.05]),
+        make_tail(2.0, 1.0, [1.5, 0.3, -0.2]),
+    ):
+        rep = covariance_expansion(tail, 3, 1)
+        numbers = [getattr(rep, f) for f in ("F0", "F1", "F2", "Ec", "B20", "Da", "a", "a0")]
+        numbers += third_cumulant_expansion(5, 3, 1, tail)
+        assert [type(x) for x in numbers] == [float] * len(numbers), (tail, numbers)
 
 
 def test_exact_pipeline_needs_no_sympy():

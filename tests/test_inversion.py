@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paretotail.errors import SingularInputError
-from paretotail.inversion import invert_series, invert_series_exponential
+from paretotail.inversion import invert_series
 from paretotail.series import FormalSeries, series_general_power, series_multiply
 
 
@@ -89,24 +89,6 @@ def test_roundtrip_identity(tail, a, k, c0):
     x = FormalSeries([c0] + tail)
     defect = compose_identity_defect(x, a, k)
     assert max(abs(d) for d in defect) < 1e-9
-
-
-def test_exponential_view_consistency():
-    # integer grid: a = 1 so i*a is always integral
-    import math
-
-    x = FormalSeries([2.0, 0.5, -0.25, 0.125])
-    y = FormalSeries([math.factorial(j) * c for j, c in enumerate(x)])
-    ystar = invert_series_exponential(y, 1, 2)
-    xstar = invert_series(x, 1, 2)
-    for i, (yc, xc) in enumerate(zip(ystar, xstar)):
-        assert yc == pytest.approx(math.factorial(i) * xc, rel=1e-12)
-
-
-def test_exponential_view_requires_integer_grid():
-    y = FormalSeries([1.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        invert_series_exponential(y, 0.5, 1)
 
 
 def test_pareto_style_inversion_is_exact():

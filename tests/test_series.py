@@ -12,14 +12,12 @@ from paretotail.series import (
     FormalSeries,
     binomial_coefficient,
     falling_factorial,
-    from_exponential,
     rising_factorial,
     series_exp,
     series_general_power,
     series_log,
     series_multiply,
     series_power,
-    to_exponential,
 )
 
 coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -114,8 +112,3 @@ def test_general_power_square():
     sq = series_general_power(x, 2)
     assert list(sq) == pytest.approx([4.0, 4.0, 13.0])
 
-
-def test_exponential_view_roundtrip():
-    x = FormalSeries([1.0, 0.5, 0.25, 0.125])
-    assert list(from_exponential(to_exponential(x))) == pytest.approx(list(x))
-    assert to_exponential(x)[3] == pytest.approx(6 * 0.125)
