@@ -69,16 +69,6 @@ from .catalog import (
     tail_of,
     upper_quantile,
 )
-from .oracle import (
-    OracleResult,
-    RateFit,
-    convergence_rate_probe,
-    mc_third_cumulant,
-    mc_top_order_stats,
-    order_stat_density,
-    quad_joint_moment,
-    quad_moment,
-)
 from .ledger import LEDGER, TypoEntry, ledger_rows
 
 __version__ = "0.1.0"
@@ -146,3 +136,14 @@ __all__ = [
     "LEDGER",
     "ledger_rows",
 ]
+
+
+def __getattr__(name):
+    # The oracle names in __all__ are the only ones not bound above: they
+    # are looked up on first access (PEP 562), so that importing the package
+    # does not import the oracles.
+    if name in __all__:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

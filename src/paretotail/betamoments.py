@@ -84,13 +84,15 @@ def gamma_ratio(x, t):
     """Gamma(x + t) / Gamma(x), stable across scalar types.
 
     An integral t (int, float or ``Fraction``) uses the plain product, so
-    rational inputs give an exact ``Fraction`` (or int) without sympy; other
-    float arguments use log-gamma; anything else (sympy expressions, or a
-    non-integral ``Fraction`` t, whose ratio is irrational) is handed to
-    sympy's gamma.
+    rational inputs give an exact ``Fraction`` (or int) without sympy, and a
+    float t gives a float; other float arguments use log-gamma; anything
+    else (sympy expressions, or a non-integral ``Fraction`` t, whose ratio is
+    irrational) is handed to sympy's gamma.
     """
     if _is_integral(t):
         n = int(t)
+        if isinstance(t, float):
+            x = x + 0.0  # a float exponent keeps the product in float
         if n >= 0:
             out = rising_factorial(x, n)
         else:
@@ -122,7 +124,8 @@ def beta_ratio(alpha, beta, theta):
 
     This is the theta-th moment of a Beta(beta, alpha) variable, so it is
     declared infinite when beta + theta <= 0.  For integer alpha, beta the
-    product form prod_{j=beta}^{alpha+beta-1} (1 + theta/j)^{-1} is used.
+    product form prod_{j=beta}^{alpha+beta-1} (1 + theta/j)^{-1} is used,
+    in ``Fraction`` for an int or ``Fraction`` theta and in float for a float.
     """
     if _is_integral(alpha) and _is_integral(beta):
         alpha, beta = int(alpha), int(beta)
@@ -132,7 +135,7 @@ def beta_ratio(alpha, beta, theta):
             raise InfiniteMomentError(
                 f"moment b({alpha}, {beta} : {theta}) is infinite (beta + theta <= 0)"
             )
-        if _is_integral(theta):
+        if _is_integral(theta) and not isinstance(theta, float):
             th = int(theta)
             out = Fraction(1)
             for j in range(beta, alpha + beta):

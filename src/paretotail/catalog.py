@@ -12,9 +12,6 @@ import math
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy import special
-
 from .errors import CapabilityError, UnsupportedOrderError
 from .quantile import TailModel
 from .series import FormalSeries, binomial_coefficient
@@ -33,6 +30,21 @@ __all__ = [
 
 CATALOG_NAMES = ("pareto", "cauchy", "student_t", "f_dist", "stable", "frechet")
 MAX_TAIL_ORDER = 12
+
+# numpy and scipy.special are bound on the first call that needs them, so
+# that tail coefficients and everything built on them load neither.
+np = None
+special = None
+
+
+def _load_numpy() -> None:
+    global np
+    import numpy as np
+
+
+def _load_special() -> None:
+    global special
+    from scipy import special
 
 
 @dataclass(frozen=True)
@@ -187,6 +199,8 @@ def upper_quantile(dist: DistributionSpec, v):
     F the beta variable w = N / (N + M x), whose lower-tail inverse
     ``betaincinv(N/2, M/2, v)`` stays accurate down to v = 1e-300.
     """
+    if np is None:
+        _load_numpy()
     name, p = dist.name, dist.params
     if name == "pareto":
         alpha = p[0] if p else 1.0
@@ -196,6 +210,8 @@ def upper_quantile(dist: DistributionSpec, v):
     if name == "frechet":
         alpha = p[0]
         return (-np.log1p(-v)) ** (-1.0 / alpha)
+    if special is None and name in ("student_t", "f_dist"):
+        _load_special()
     if name == "student_t":
         return -special.stdtrit(int(p[0]), v)
     if name == "f_dist":
@@ -221,6 +237,8 @@ def cdf(dist: DistributionSpec, x: float) -> float:
         return 0.5 + math.atan(x) / math.pi
     if name == "frechet":
         return math.exp(-(x ** (-p[0]))) if x > 0 else 0.0
+    if special is None and name in ("student_t", "f_dist"):
+        _load_special()
     if name == "student_t":
         return float(special.stdtr(int(p[0]), x))
     if name == "f_dist":
@@ -231,11 +249,15 @@ def cdf(dist: DistributionSpec, x: float) -> float:
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic per-stream generator: streams split as seed-sequence
     (seed, stream) pairs, one stream per worker."""
+    if np is None:
+        _load_numpy()
     return np.random.default_rng([seed, stream])
 
 
 def sample(dist: DistributionSpec, rng: np.random.Generator, size: int = 1):
     """Draw ``size`` variates; inverse-CDF where a quantile exists."""
+    if np is None:
+        _load_numpy()
     if dist.name == "stable":
         if not dist.has_sampler:
             raise CapabilityError(

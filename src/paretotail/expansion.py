@@ -193,17 +193,31 @@ class CovarianceReport:
         return self.F0 + self.F1 / n + self.Ec * self.F2 * float(n) ** (-self.a)
 
 
-def _quantile_tables(query: MomentQuery) -> list[QuantilePowerSeries]:
+@dataclass(frozen=True)
+class _SharedTablesQuery(MomentQuery):
+    """A query that carries its quantile tables, built once by a caller that
+    asks for several depth tuples on one tail, power and jmax."""
+
+    tables: tuple = field(default=(), compare=False, repr=False)
+
+
+def _cut_tail(tail: TailModel, jmax: int) -> TailModel:
+    """The tail cut to c_0..c_jmax: reversion and powers are triangular
+    (C_0..C_j depend on c_0..c_j only)."""
+    if tail.order > jmax:
+        tail = TailModel(tail.alpha, tail.beta, tail.c.truncate(jmax))
+    return tail
+
+
+def _quantile_tables(query: MomentQuery) -> Sequence[QuantilePowerSeries]:
     """One quantile series per entry of theta, built once per distinct power.
 
     The key carries the type, so that 1 and 1.0 (equal, with equal hashes)
-    do not share a series of the wrong scalar type.  Reversion and powers
-    are triangular (C_0..C_j depend on c_0..c_j only), so the tail is cut
-    to c_0..c_jmax first.
+    do not share a series of the wrong scalar type.
     """
-    tail = query.tail
-    if tail.order > query.jmax:
-        tail = TailModel(tail.alpha, tail.beta, tail.c.truncate(query.jmax))
+    if isinstance(query, _SharedTablesQuery):
+        return query.tables
+    tail = _cut_tail(query.tail, query.jmax)
     built = {}
     for t in query.theta:
         key = (type(t), t)
@@ -338,13 +352,16 @@ def _set_partitions(items: list):
 
 def _moment_grids(tail: TailModel, imax: int, jmax: int):
     """A function from depth tuples to the grid of E prod Y_{n,s_i}, which
-    builds each grid once; the grids live as long as the function."""
+    builds each grid once and reverts the tail once for all of them; the
+    grids live as long as the function."""
     one = 1 + 0 * tail.c[0]
+    table = quantile_series(_cut_tail(tail, jmax), one)
     grids = {}
 
     def grid(depths: tuple) -> ExpansionSeries:
         if depths not in grids:
-            q = MomentQuery(tail, depths, (one,) * len(depths), imax=imax, jmax=jmax)
+            k = len(depths)
+            q = _SharedTablesQuery(tail, depths, (one,) * k, imax, jmax, (table,) * k)
             grids[depths] = normalized_moment_expansion(q)
         return grids[depths]
 

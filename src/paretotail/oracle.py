@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.integrate import quad
-
 from .betamoments import suffix_sums
 from .catalog import DistributionSpec, tail_of, upper_quantile, make_rng, sample
 from .errors import CapabilityError, InfiniteMomentError, ParetoTailError
@@ -30,6 +27,28 @@ __all__ = [
 ]
 
 _MC_MARGIN = 0.05
+
+# numpy and scipy.integrate.quad are bound on the first call that needs them,
+# so that importing the oracles loads neither.
+np = None
+_scipy_quad = None
+
+
+def _load_numpy() -> None:
+    global np
+    import numpy as np
+
+
+def _load_quad() -> None:
+    global _scipy_quad
+    from scipy.integrate import quad as _scipy_quad
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``; every oracle integral goes through here."""
+    if _scipy_quad is None:
+        _load_quad()
+    return _scipy_quad(func, a, b, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -263,6 +282,8 @@ def mc_top_order_stats(
     """
     if reps < 10_000:
         raise ValueError(f"reps must be >= 10000, got {reps}")
+    if np is None:
+        _load_numpy()
     specs = [(tuple(s), tuple(t)) for s, t in specs]
     alpha = tail_of(dist, 0).alpha
     for s, t in specs:
@@ -303,6 +324,8 @@ def mc_third_cumulant(
 ) -> OracleResult:
     """Third joint cumulant of the normalized (Y_{ns1}, Y_{ns2}, Y_{ns3})
     estimated per batch from sample moments."""
+    if np is None:
+        _load_numpy()
     s1, s2, s3 = s
     alpha = tail_of(dist, 0).alpha
     c0 = tail_of(dist, 0).c[0]
@@ -334,6 +357,8 @@ def convergence_rate_probe(n_grid, diffs, floor: float = 1e-9) -> RateFit:
     Reports saturation instead of a slope when any difference sits at or
     below the oracle's resolution floor.
     """
+    if np is None:
+        _load_numpy()
     n_grid = np.asarray(n_grid, dtype=float)
     diffs = np.abs(np.asarray(diffs, dtype=float))
     if len(n_grid) < 3:

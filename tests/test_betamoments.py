@@ -57,6 +57,19 @@ def test_falling_general():
     )
 
 
+def test_float_exponents_stay_float():
+    # an integral float exponent takes the product form, but in float
+    for got, want in (
+        (n_free_factor((5, 3, 1), (-1.0,) * 3), Fraction(1, 6)),
+        (gamma_ratio(11, 2.0), 132),
+        (gamma_ratio(11, -2.0), Fraction(1, 90)),
+        (beta_ratio(2, 4, -2.0), Fraction(10, 3)),
+    ):
+        assert type(got) is float and got == pytest.approx(float(want), rel=1e-15)
+    assert type(n_free_factor((5, 3, 1), (-1,) * 3)) is Fraction
+    assert type(n_free_factor((5, 3, 1), (Fraction(-1),) * 3)) is Fraction
+
+
 def test_beta_ratio_examples():
     # theta-th moments of Beta(beta, alpha) variables
     assert beta_ratio(1, 2, 1) == pytest.approx(2 / 3)

@@ -315,6 +315,26 @@ def test_quantile_series_once_per_distinct_power(monkeypatch):
         assert [(type(t), t) for t in calls] == [(type(t), t) for t in want], theta
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_cumulants_revert_the_tail_once(monkeypatch, exact):
+    calls = []
+    original = expansion.quantile_series
+
+    def counting(tail, theta):
+        calls.append(theta)
+        return original(tail, theta)
+
+    monkeypatch.setattr(expansion, "quantile_series", counting)
+    tail = _exact_tail(1)
+    if not exact:
+        tail = make_tail(1.0, 1.0, [float(c) for c in tail.c])
+    third_cumulant_expansion(5, 3, 1, tail)
+    assert len(calls) == 1
+    calls.clear()
+    covariance_expansion(tail, 3, 1)
+    assert len(calls) == 1
+
+
 def test_third_cumulant_computes_each_depth_set_once(monkeypatch):
     calls = []
     original = expansion.normalized_moment_expansion
