@@ -66,6 +66,7 @@ from .catalog import (
     make_rng,
     parse_distribution,
     sample,
+    sample_top,
     tail_of,
     upper_quantile,
 )
@@ -122,11 +123,11 @@ __all__ = [
     "upper_quantile",
     "cdf",
     "sample",
+    "sample_top",
     "make_rng",
     "CATALOG_NAMES",
     "OracleResult",
     "RateFit",
-    "order_stat_density",
     "quad_moment",
     "quad_joint_moment",
     "mc_top_order_stats",

@@ -24,12 +24,18 @@ __all__ = [
     "upper_quantile",
     "cdf",
     "sample",
+    "sample_top",
     "make_rng",
     "CATALOG_NAMES",
 ]
 
 CATALOG_NAMES = ("pareto", "cauchy", "student_t", "f_dist", "stable", "frechet")
 MAX_TAIL_ORDER = 12
+# sample_top's table of Kanter's function: bins over [0, pi), the relative
+# slack on each bound, and the least power in A that keeps full precision
+_KANTER_BINS = 2048
+_KANTER_SLACK = 1e-9
+_KANTER_TINY = 1e-200
 
 # numpy and scipy.special are bound on the first call that needs them, so
 # that tail coefficients and everything built on them load neither.
@@ -275,9 +281,91 @@ def _sample_positive_stable(alpha: float, rng: np.random.Generator, size: int):
     transform exp(-s^alpha)."""
     u = rng.random(size) * np.pi
     w = rng.exponential(1.0, size)
-    ratio = (
+    return (_kanter(alpha, u) / w) ** ((1 - alpha) / alpha)
+
+
+def _kanter(alpha: float, u):
+    """Kanter's function A(u), increasing on (0, pi) (Kanter, Ann. Probab. 3,
+    1975)."""
+    return (
         np.sin(alpha * u) ** (alpha / (1 - alpha))
         * np.sin((1 - alpha) * u)
         / np.sin(u) ** (1 / (1 - alpha))
     )
-    return (ratio / w) ** ((1 - alpha) / alpha)
+
+
+def sample_top(
+    dist: DistributionSpec, rng: np.random.Generator, reps: int, n: int, k: int
+):
+    """The ``k`` largest of ``n`` draws per row, ``reps`` rows, in descending
+    order.
+
+    The numbers are those of sorting each row of ``sample(dist, rng, (reps,
+    n))``, from the same draws.  For the positive stable law, Kanter's
+    function is evaluated only on draws whose tabulated upper bound reaches
+    the row's k-th largest lower bound: any other draw lies below k draws
+    of its row, and the final power is increasing.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if np is None:
+        _load_numpy()
+    if dist.name != "stable" or not dist.has_sampler:
+        return _top_of_rows(sample(dist, rng, (reps, n)), k)
+    alpha = dist.params[0]
+    r = rng.random((reps, n))  # u = r pi, as in sample
+    w = rng.exponential(1.0, (reps, n))
+    lo, hi = _kanter_bounds(alpha)
+    # floor(r B) < B, exact; numpy converts float64 to int32 several times
+    # faster than to int64
+    j = (r * _KANTER_BINS).astype(np.int32).astype(np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low = lo[j] / w
+        high = hi[j] / w
+    # w = 0 makes a lower bound inf or nan; nan sorts above every number,
+    # as a nan draw does, and a nan threshold keeps the whole row
+    threshold = np.partition(low, n - k, axis=1)[:, n - k]
+    flat = np.flatnonzero(~(high < threshold[:, None]))
+    u = r.ravel()[flat] * np.pi
+    x = (_kanter(alpha, u) / w.ravel()[flat]) ** ((1 - alpha) / alpha)
+    # each row's candidates, left-aligned and padded with -inf
+    rows = flat // n
+    counts = np.bincount(rows, minlength=reps)
+    starts = np.cumsum(counts) - counts
+    dense = np.full((reps, counts.max(initial=k)), -np.inf)
+    dense[rows, np.arange(len(rows)) - starts[rows]] = x
+    return _top_of_rows(dense, k)
+
+
+def _top_of_rows(x, k: int):
+    """The k largest entries of each row of x, in descending order."""
+    m = x.shape[1]
+    return np.sort(np.partition(x, m - k, axis=1)[:, m - k :], axis=1)[:, ::-1]
+
+
+def _kanter_bounds(alpha: float):
+    """Bounds ``lo[j] <= A(u) <= hi[j]`` on Kanter's function, as computed,
+    for u in bin j of ``_KANTER_BINS`` equal bins over [0, pi).
+
+    Bin j takes A at edge j - 1 and edge j + 2: one bin of slack on each
+    side for the rounding of u and of the edges.  The bin is left unbounded,
+    [0, inf], unless both powers in A are at least ``_KANTER_TINY`` at both
+    of those edges.  sin(alpha u) and sin(u) are unimodal on [0, pi), so
+    the powers then stay that large inside the bin and A keeps full
+    precision there; nearer to 0 or pi they underflow, and A comes out
+    imprecise, inf or nan.  The relative slack covers the rounding of A,
+    which the powers amplify in proportion to 1 / (1 - alpha).
+    """
+    edges = np.arange(_KANTER_BINS + 1) * (np.pi / _KANTER_BINS)
+    with np.errstate(all="ignore"):
+        num = np.sin(alpha * edges) ** (alpha / (1 - alpha))
+        den = np.sin(edges) ** (1 / (1 - alpha))
+        a = num * np.sin((1 - alpha) * edges) / den  # _kanter(alpha, edges)
+    # index i + 1 holds edge i; edges -1 and B + 1 do not exist
+    a = np.concatenate(([np.nan], a, [np.nan]))
+    sound = np.concatenate(([False], np.minimum(num, den) >= _KANTER_TINY, [False]))
+    ok = sound[:-3] & sound[3:]
+    slack = _KANTER_SLACK + 64 * np.finfo(float).eps / (1 - alpha)
+    lo = np.where(ok, a[:-3] * (1 - slack), 0.0)
+    hi = np.where(ok, a[3:] * (1 + slack), np.inf)
+    return lo, hi

@@ -34,6 +34,7 @@ from .expansion import (
 )
 from .ledger import ledger_rows
 from .oracle import (
+    _check_mc_finiteness,
     convergence_rate_probe,
     mc_top_order_stats,
     quad_joint_moment,
@@ -192,8 +193,24 @@ def _normalization(dist: DistributionSpec, n: int, theta_total: float) -> float:
     return float(n * tail.c[0]) ** (theta_total / tail.alpha)
 
 
+def _require_mc_standard_error(dist: DistributionSpec, s) -> None:
+    """Refuse a Monte Carlo check whose product has an infinite second
+    moment: its batch standard error, and so the noise floor, would mean
+    nothing."""
+    try:
+        _check_mc_finiteness(tail_of(dist, 0).alpha, s, (2.0,) * len(s))
+    except InfiniteMomentError as exc:
+        raise ParetoTailError(
+            f"--oracle mc cannot verify {dist} at --s {','.join(map(str, s))}: "
+            f"the squared product has an infinite mean, so the standard error "
+            f"is undefined ({exc})"
+        ) from None
+
+
 def _verify_values(args, dist, s, n_grid):
     """(expansion value, oracle value, oracle floor) per n."""
+    if args.oracle == "mc":
+        _require_mc_standard_error(dist, s)
     if len(s) == 1:
         tail = tail_of(dist, max(args.jmax, 1))
         exp = mean_expansion(tail, s[0], imax=args.imax, jmax=args.jmax)

@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 
 from .betamoments import suffix_sums
-from .catalog import DistributionSpec, tail_of, upper_quantile, make_rng, sample
+from .catalog import DistributionSpec, tail_of, upper_quantile, make_rng, sample_top
 from .errors import CapabilityError, InfiniteMomentError, ParetoTailError
 
 __all__ = [
     "OracleResult",
     "RateFit",
-    "order_stat_density",
     "quad_moment",
     "quad_joint_moment",
     "mc_top_order_stats",
@@ -68,34 +67,6 @@ class RateFit:
     slope: float
     residual: float
     saturated: bool = False
-
-
-def order_stat_density(n: int, r, u) -> float:
-    """Joint density of (U_{n,r_1}, ..., U_{n,r_k}) at the point u."""
-    r = tuple(r)
-    u = tuple(u)
-    if len(r) != len(u):
-        raise ValueError("rank and point vectors must have the same length")
-    if any(r[i] >= r[i + 1] for i in range(len(r) - 1)) or not (
-        1 <= r[0] and r[-1] <= n
-    ):
-        raise ValueError(f"ranks must be strictly increasing in [1, {n}], got {r}")
-    if any(u[i] >= u[i + 1] for i in range(len(u) - 1)) or not (
-        0.0 < u[0] and u[-1] < 1.0
-    ):
-        raise ValueError(f"points must be strictly increasing in (0, 1), got {u}")
-    log_bn = sum(
-        math.lgamma(ri - rp) + math.lgamma(n - ri + 1) - math.lgamma(n - rp + 1)
-        for ri, rp in zip(r, (0,) + r[:-1])
-    )
-    ru = r + (n + 1,)
-    uu = (0.0,) + u + (1.0,)
-    log_num = 0.0
-    for i in range(len(ru)):
-        expo = ru[i] - ((0,) + r)[i] - 1
-        if expo:
-            log_num += expo * math.log(uu[i + 1] - uu[i])
-    return math.exp(log_num - log_bn)
 
 
 def _power_sub(exponent_gap: float, target: float = 2.0) -> int:
@@ -295,12 +266,15 @@ def mc_top_order_stats(
     for b in range(batches):
         rng = make_rng(seed, b)
         if direct:
-            draws = sample(dist, rng, (bsize, n))
-            part = np.partition(draws, n - smax - 1, axis=1)[:, n - smax - 1 :]
-            x_by_s = np.sort(part, axis=1)[:, ::-1]  # column s = depth s
+            x_by_s = sample_top(dist, rng, bsize, n, smax + 1)  # column s = depth s
         else:
             v = _top_block_v(dist, n, smax, bsize, rng)
             x_by_s = upper_quantile(dist, v)
+        if not np.all(np.isfinite(x_by_s)):
+            raise ParetoTailError(
+                f"Monte Carlo top block for {dist} at n={n} has non-finite "
+                f"values in batch {b}: the simulation under- or overflowed"
+            )
         for j, (s, t) in enumerate(specs):
             prod = np.ones(bsize)
             for si, ti in zip(s, t):

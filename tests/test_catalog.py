@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from paretotail import catalog
 from paretotail.catalog import (
     CATALOG_NAMES,
     DistributionSpec,
@@ -13,6 +14,7 @@ from paretotail.catalog import (
     make_rng,
     parse_distribution,
     sample,
+    sample_top,
     tail_of,
     upper_quantile,
 )
@@ -207,6 +209,71 @@ def test_positive_stable_sampler_matches_levy():
         want = math.erfc(0.5 / math.sqrt(x))
         got = float(np.mean(draws <= x))
         assert got == pytest.approx(want, abs=4 / math.sqrt(len(draws)))
+
+
+def sorted_top(dist, rng, reps, n, k):
+    """The k largest of each row of ``sample``, descending: what sample_top
+    must return bit for bit."""
+    with np.errstate(all="ignore"):
+        draws = sample(dist, rng, (reps, n))
+    return np.sort(np.partition(draws, n - k, axis=1)[:, n - k :], axis=1)[:, ::-1]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.15, 0.5, 0.9, 0.99])
+def test_sample_top_matches_sorted_sample(alpha):
+    # at 0.99 the sampler's powers underflow near u = 0 and some draws are
+    # inf or nan; those must come through as well
+    dist = DistributionSpec("stable", (alpha, -alpha))
+    for n, k in ((1, 1), (5, 1), (5, 5), (200, 1), (200, 5)):
+        for seed in (1, 2, 3):
+            want = sorted_top(dist, make_rng(seed), 300, n, k)
+            with np.errstate(all="ignore"):
+                got = sample_top(dist, make_rng(seed), 300, n, k)
+            assert same_bits(got, want), (n, k, seed)
+
+
+def test_sample_top_other_laws_and_errors():
+    dist = parse_distribution("frechet(2)")
+    got = sample_top(dist, make_rng(4), 50, 30, 3)
+    assert same_bits(got, sorted_top(dist, make_rng(4), 50, 30, 3))
+    with pytest.raises(CapabilityError):
+        sample_top(DistributionSpec("stable", (0.5, 0.0)), make_rng(1), 10, 20, 2)
+    with pytest.raises(ValueError):
+        sample_top(dist, make_rng(1), 10, 20, 21)
+
+
+def test_sample_top_evaluates_few_draws(monkeypatch):
+    sizes = []
+    kanter = catalog._kanter
+
+    def counting(alpha, u):
+        sizes.append(np.size(u))
+        return kanter(alpha, u)
+
+    monkeypatch.setattr(catalog, "_kanter", counting)
+    reps, k = 400, 5
+    sample_top(parse_distribution("stable(0.5,-0.5)"), make_rng(1), reps, 200, k)
+    table = catalog._KANTER_BINS + 1
+    assert sum(sizes) - table < 3 * k * reps
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.15, 0.5, 0.9, 0.99])
+def test_kanter_table_is_nondecreasing(alpha):
+    catalog._load_numpy()
+    edges = np.arange(1, catalog._KANTER_BINS + 1) * (np.pi / catalog._KANTER_BINS)
+    with np.errstate(all="ignore"):
+        a = catalog._kanter(alpha, edges)
+    a = a[np.isfinite(a)]
+    assert len(a) >= catalog._KANTER_BINS - 1
+    assert np.all(np.diff(a) >= 0)
+    lo, hi = catalog._kanter_bounds(alpha)
+    assert np.all(lo <= hi)
+    assert np.all(np.diff(hi[np.isfinite(hi)]) >= 0)
+    assert np.all(np.diff(lo[lo > 0]) >= 0)
 
 
 def test_inverse_cdf_samplers_match_cdf():

@@ -168,6 +168,31 @@ def test_verify_mc_path():
     assert doc["passed"] is True
 
 
+def test_verify_mc_refuses_undefined_standard_error(capsys):
+    # the squared Cauchy product X_{n,n-2} X_{n,n-1} has suffix powers
+    # (4, 2) against the bound (s + 1) alpha = 3 at depth 2: infinite mean
+    code, out = run_cli(
+        [
+            "verify",
+            "--dist",
+            "cauchy",
+            "--s",
+            "2,1",
+            "--n",
+            "50,100,200",
+            "--oracle",
+            "mc",
+            "--reps",
+            "200000",
+            "--seed",
+            "1",
+        ]
+    )
+    assert code == 2
+    assert out == ""
+    assert "standard error is undefined" in capsys.readouterr().err
+
+
 def test_seed_env_var(monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "12345")
     from paretotail.cli import _build_parser

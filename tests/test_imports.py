@@ -25,7 +25,6 @@ ORACLE_NAMES = (
     "convergence_rate_probe",
     "mc_third_cumulant",
     "mc_top_order_stats",
-    "order_stat_density",
     "quad_joint_moment",
     "quad_moment",
 )
