@@ -36,6 +36,9 @@ MAX_TAIL_ORDER = 12
 _KANTER_BINS = 2048
 _KANTER_SLACK = 1e-9
 _KANTER_TINY = 1e-200
+# below this v, stdtrit loses the Student t upper tail (N = 3: a factor 2 off
+# from v = 1e-165, -inf from 1e-250); the beta inversion keeps it
+_T_DEEP_TAIL = 1e-150
 
 # numpy and scipy.special are bound on the first call that needs them, so
 # that tail coefficients and everything built on them load neither.
@@ -203,7 +206,9 @@ def upper_quantile(dist: DistributionSpec, v):
 
     Student t and F go through ``scipy.special``: ``stdtrit`` for t, and for
     F the beta variable w = N / (N + M x), whose lower-tail inverse
-    ``betaincinv(N/2, M/2, v)`` stays accurate down to v = 1e-300.
+    ``betaincinv(N/2, M/2, v)`` stays accurate down to v = 1e-300.  Below
+    v = 1e-150 the t quantile comes from its own beta variable (see
+    ``_t_deep_tail``).
     """
     if np is None:
         _load_numpy()
@@ -219,12 +224,32 @@ def upper_quantile(dist: DistributionSpec, v):
     if special is None and name in ("student_t", "f_dist"):
         _load_special()
     if name == "student_t":
-        return -special.stdtrit(int(p[0]), v)
+        N = int(p[0])
+        x = -special.stdtrit(N, v)
+        deep = np.less(v, _T_DEEP_TAIL)
+        if deep.any():
+            if np.ndim(x) == 0:
+                return _t_deep_tail(N, v)
+            x[deep] = _t_deep_tail(N, np.asarray(v)[deep])
+        return x
     if name == "f_dist":
         M, N = int(p[0]), int(p[1])
         w = special.betaincinv(N / 2, M / 2, v)
         return (N / M) * (1.0 / w - 1.0)
     raise CapabilityError(f"{dist} has no quantile function")
+
+
+def _t_deep_tail(N: int, v):
+    """Student t upper quantile sqrt(N (1/w - 1)), with w = N / (N + x^2) the
+    beta variable and ``betaincinv(N/2, 1/2, 2v)`` its inverse; +inf at
+    v = 0.  Accurate to rounding deep in the tail, but 4e-10 off ``stdtrit``
+    near v = 0.5 and slower, so used only below ``_T_DEEP_TAIL``."""
+    with np.errstate(divide="ignore"):
+        if N == 1:
+            # w ~ (pi v)^2 would underflow; t(1) is the Cauchy law
+            return 1.0 / np.tan(np.pi * v)
+        w = special.betaincinv(N / 2, 0.5, 2.0 * v)
+        return np.sqrt(N * (1.0 / w - 1.0))
 
 
 def exact_quantile(dist: DistributionSpec, u: float) -> float:

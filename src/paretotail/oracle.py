@@ -4,12 +4,18 @@ Nothing here reuses the expansion machinery.  Moments of top order
 statistics are computed by integrating quantiles against the exact
 multivariate beta density of uniform order statistics, or by simulating the
 top block of uniforms directly through exponential spacings.
+
+The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
+absorb the density's endpoint singularities exactly, with nodes from the
+Golub-Welsch construction (Golub & Welsch, Math. Comp. 23, 1969), and fall
+back to nested adaptive ``quad`` when two rules of the node ladder do not
+agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .betamoments import suffix_sums
 from .catalog import DistributionSpec, tail_of, upper_quantile, make_rng, sample_top
@@ -26,11 +32,18 @@ __all__ = [
 ]
 
 _MC_MARGIN = 0.05
+# Gauss-Jacobi node ladder: nodes per coordinate of the two rules of each
+# rung; the second rule is accepted when the two agree
+_GJ_LADDER = ((16, 24), (32, 48))
+# relative tolerances of the 1-D and 2-D oracles, adaptive or Gauss-Jacobi
+_EPSREL_1D = 1e-11
+_EPSREL_2D = 1e-9
 
-# numpy and scipy.integrate.quad are bound on the first call that needs them,
-# so that importing the oracles loads neither.
+# numpy, scipy.integrate.quad and scipy.special.roots_jacobi are bound on
+# the first call that needs them, so that importing the oracles loads none.
 np = None
 _scipy_quad = None
+_roots_jacobi = None
 
 
 def _load_numpy() -> None:
@@ -43,8 +56,13 @@ def _load_quad() -> None:
     from scipy.integrate import quad as _scipy_quad
 
 
+def _load_roots_jacobi() -> None:
+    global _roots_jacobi
+    from scipy.special import roots_jacobi as _roots_jacobi
+
+
 def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``; every oracle integral goes through here."""
+    """``scipy.integrate.quad``; every adaptive integral goes through here."""
     if _scipy_quad is None:
         _load_quad()
     return _scipy_quad(func, a, b, **kwargs)
@@ -52,10 +70,17 @@ def quad(func, a, b, **kwargs):
 
 @dataclass(frozen=True)
 class OracleResult:
+    """An oracle value with its provenance: ``method`` is ``"gauss_jacobi"``,
+    ``"quad1d"``, ``"quad2d"`` or ``"mc"``; ``cost`` counts integrand
+    evaluations or simulated replicates; ``abserr`` is the quadrature's own
+    error estimate (the last rung's rule difference, or adaptive ``quad``'s
+    summed ``abserr``), and ``std_error`` the Monte Carlo one."""
+
     value: float
     std_error: float
     method: str
     cost: int
+    abserr: float = 0.0
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -99,10 +124,112 @@ def _finite(value: float, dist: DistributionSpec, n: int, s, theta) -> float:
     return value
 
 
+def _gap_denominator(dist: DistributionSpec) -> int:
+    """q in the law's tail gap a = beta/alpha = p/q in lowest terms, from its
+    integer parameters: Student t and F have a = 2/N (see ``tail_of``), the
+    other laws with a quantile an integer a."""
+    if dist.name in ("student_t", "f_dist"):
+        N = int(dist.params[-1])
+        return N // math.gcd(2, N)
+    return 1
+
+
+def _log_beta(x: float, y: float) -> float:
+    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+
+def _jacobi_coordinate(m: int, a: float, b: float, q: int):
+    """Nodes x, weights w and log scale c of an m-node rule
+    ``int_0^1 x^b (1-x)^a f(x) dx ~ exp(c) sum w f(x)``.
+
+    For q > 1 the rule runs in u = x^(1/q), where f is smooth when it is a
+    series in x^(p/q): the weight becomes q u^bu (1-u^q)^a, bu = q(b+1) - 1.
+    The Jacobi weight u^bu (1-u)^a' takes a' where u^bu (1-u^q)^a peaks,
+    u*^q = bu/(qa + bu), a' = bu (1/u* - 1), rounded to an integer so that the
+    ratio (1-u^q)^a / (1-u)^a', carried in the weights, is a polynomial.
+    """
+    if q == 1:
+        xi, w = _roots_jacobi(m, a, b)
+        return (1.0 + xi) / 2.0, w / w.sum(), _log_beta(b + 1.0, a + 1.0)
+    bu = q * (b + 1.0) - 1.0
+    peak = bu if bu > 0 else 1.0  # for bu <= 0 the weight has no interior peak
+    u_star = (peak / (q * a + peak)) ** (1.0 / q)
+    a_j = round(peak * (1.0 / u_star - 1.0))
+    xi, w = _roots_jacobi(m, a_j, bu)
+    u = (1.0 + xi) / 2.0
+    log_ratio = a * np.log1p(-(u**q)) - a_j * np.log1p(-u)
+    top = log_ratio.max()
+    w = w / w.sum() * np.exp(log_ratio - top)
+    return u**q, w, math.log(q) + _log_beta(bu + 1.0, a_j + 1.0) + top
+
+
+def _gauss_jacobi_rule(dist, n, s, theta, psi, q, m) -> float:
+    """E prod X_{n,n-s_i}^theta_i by one tensor rule of m nodes per
+    coordinate, for strictly decreasing depths s.
+
+    Coordinates v_1 = V_{s_1} and v_{i+1} = v_i t_i (V_s = 1 - U_{n,n-s})
+    factor the density into Jacobi weights v_1^(s_1 - sum psi)
+    (1-v_1)^(n-s_1-1) and t_i^(s_{i+1} - sum_{j>i} psi_j)
+    (1-t_i)^(s_i-s_{i+1}-1), which leave the integrand prod q(v_i)^theta_i
+    v_i^psi_i bounded.
+    """
+    k = len(s)
+    log_c = math.lgamma(n + 1) - math.lgamma(n - s[0]) - math.lgamma(s[-1] + 1)
+    log_c -= sum(math.lgamma(s[i] - s[i + 1]) for i in range(k - 1))
+    psibar = suffix_sums(psi)
+    v = integrand = None
+    weights = []
+    for i in range(k):
+        upper = n if i == 0 else s[i - 1]
+        x, w, c = _jacobi_coordinate(m, upper - s[i] - 1, s[i] - psibar[i], q)
+        log_c += c
+        weights.append(w)
+        v = x if v is None else v[..., None] * x
+        g = upper_quantile(dist, v) ** theta[i] * v ** psi[i]
+        integrand = g if integrand is None else integrand[..., None] * g
+    for w in reversed(weights):
+        integrand = integrand @ w
+    return float(integrand) * math.exp(log_c)
+
+
+def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
+    """(result, nodes): E prod X_{n,n-s_i}^theta_i by the tensor Gauss-Jacobi
+    rule over non-increasing depths s (ties are merged), as an OracleResult,
+    or None when no rung of ``_GJ_LADDER`` agrees within
+    max(epsabs, epsrel |I|); ``nodes`` counts the integrand nodes spent."""
+    if np is None:
+        _load_numpy()
+    if _roots_jacobi is None:
+        _load_roots_jacobi()
+    depths, powers = [], []
+    for si, ti in zip(s, theta):
+        if depths and depths[-1] == si:
+            powers[-1] += ti
+        else:
+            depths.append(si)
+            powers.append(ti)
+    alpha = tail_of(dist, 0).alpha
+    psi = [t / alpha for t in powers]
+    q = _gap_denominator(dist)
+    nodes = 0
+    with np.errstate(all="ignore"):
+        for m1, m2 in _GJ_LADDER:
+            i1 = _gauss_jacobi_rule(dist, n, depths, powers, psi, q, m1)
+            i2 = _gauss_jacobi_rule(dist, n, depths, powers, psi, q, m2)
+            nodes += m1 ** len(depths) + m2 ** len(depths)
+            err = abs(i2 - i1)
+            # a non-finite rule makes err nan or inf and fails the test
+            if err <= max(epsabs, epsrel * abs(i2)):
+                return OracleResult(i2, 0.0, "gauss_jacobi", nodes, err), nodes
+    return None, nodes
+
+
 def quad_moment(
     dist: DistributionSpec, n: int, s: int, theta: float, epsabs: float = 1e-10
 ) -> OracleResult:
-    """E X_{n,n-s}^theta by adaptive quadrature against the beta density."""
+    """E X_{n,n-s}^theta against the beta density: the tensor Gauss-Jacobi
+    rule, or adaptive quadrature when the rule cannot confirm its accuracy
+    to max(epsabs, 1e-11 |I|)."""
     _require_real_powers(dist, theta)
     alpha = tail_of(dist, 0).alpha
     psi = theta / alpha
@@ -110,9 +237,22 @@ def quad_moment(
         raise InfiniteMomentError(
             f"moment infinite: s + 1 - theta/alpha = {s + 1 - psi} <= 0"
         )
-    r = n - s
-    if r < 1:
+    if n - s < 1:
         raise ValueError(f"depth s={s} too large for n={n}")
+    res, nodes = _gauss_jacobi(dist, n, (s,), (theta,), epsabs, _EPSREL_1D)
+    if res is None:
+        res = _adaptive_moment(dist, n, s, theta, epsabs)
+        res = replace(res, cost=res.cost + nodes)
+    return res
+
+
+def _adaptive_moment(
+    dist: DistributionSpec, n: int, s: int, theta: float, epsabs: float = 1e-10
+) -> OracleResult:
+    """E X_{n,n-s}^theta by adaptive quadrature against the beta density."""
+    alpha = tail_of(dist, 0).alpha
+    psi = theta / alpha
+    r = n - s
     log_b = math.lgamma(r) + math.lgamma(s + 1) - math.lgamma(n + 1)
     evals = 0
 
@@ -143,10 +283,18 @@ def quad_moment(
 
     cut = 0.5
     lo, err_lo = quad(
-        integrand_w, 0.0, cut ** (1.0 / p), epsabs=epsabs / 2, epsrel=1e-11, limit=400
+        integrand_w,
+        0.0,
+        cut ** (1.0 / p),
+        epsabs=epsabs / 2,
+        epsrel=_EPSREL_1D,
+        limit=400,
     )
-    hi, err_hi = quad(integrand_v, cut, 1.0, epsabs=epsabs / 2, epsrel=1e-11, limit=400)
-    return OracleResult(_finite(lo + hi, dist, n, s, theta), 0.0, "quad1d", evals)
+    hi, err_hi = quad(
+        integrand_v, cut, 1.0, epsabs=epsabs / 2, epsrel=_EPSREL_1D, limit=400
+    )
+    value = _finite(lo + hi, dist, n, s, theta)
+    return OracleResult(value, 0.0, "quad1d", evals, err_lo + err_hi)
 
 
 def quad_joint_moment(
@@ -158,11 +306,12 @@ def quad_joint_moment(
     theta2: float,
     epsabs: float = 1e-8,
 ) -> OracleResult:
-    """E X_{n,n-s1}^theta1 X_{n,n-s2}^theta2 by nested quadrature over the
-    ordered triangle, for s1 > s2 (ties delegate to the 1-D oracle)."""
+    """E X_{n,n-s1}^theta1 X_{n,n-s2}^theta2 for s1 > s2 (ties delegate to
+    the 1-D oracle): the tensor Gauss-Jacobi rule, or nested adaptive
+    quadrature over the ordered triangle when the rule cannot confirm its
+    accuracy to max(epsabs, 1e-9 |I|)."""
     if s1 == s2:
-        inner = quad_moment(dist, n, s1, theta1 + theta2, epsabs=epsabs)
-        return OracleResult(inner.value, 0.0, "quad2d", inner.cost)
+        return quad_moment(dist, n, s1, theta1 + theta2, epsabs=epsabs)
     if s1 < s2:
         raise ValueError(f"need s1 >= s2, got ({s1}, {s2})")
     _require_real_powers(dist, theta1, theta2)
@@ -172,6 +321,28 @@ def quad_joint_moment(
         raise InfiniteMomentError(
             f"joint moment infinite for s=({s1},{s2}), theta=({theta1},{theta2})"
         )
+    res, nodes = _gauss_jacobi(
+        dist, n, (s1, s2), (theta1, theta2), epsabs, _EPSREL_2D
+    )
+    if res is None:
+        res = _adaptive_joint_moment(dist, n, s1, s2, theta1, theta2, epsabs)
+        res = replace(res, cost=res.cost + nodes)
+    return res
+
+
+def _adaptive_joint_moment(
+    dist: DistributionSpec,
+    n: int,
+    s1: int,
+    s2: int,
+    theta1: float,
+    theta2: float,
+    epsabs: float = 1e-8,
+) -> OracleResult:
+    """E X_{n,n-s1}^theta1 X_{n,n-s2}^theta2 by nested quadrature over the
+    ordered triangle, for s1 > s2."""
+    alpha = tail_of(dist, 0).alpha
+    psi1, psi2 = theta1 / alpha, theta2 / alpha
     r1 = n - s1
     gap = s1 - s2
     log_b = (
@@ -208,9 +379,9 @@ def quad_joint_moment(
         log_w = (p_out * s1 + p_out - 1) * math.log(w) + (r1 - 1) * math.log1p(-v1)
         return q1**theta1 * inner(v1) * p_out * math.exp(log_w - log_b)
 
-    val, err = quad(outer, 0.0, 1.0, epsabs=epsabs, epsrel=1e-9, limit=300)
+    val, err = quad(outer, 0.0, 1.0, epsabs=epsabs, epsrel=_EPSREL_2D, limit=300)
     val = _finite(val, dist, n, (s1, s2), (theta1, theta2))
-    return OracleResult(val, 0.0, "quad2d", evals)
+    return OracleResult(val, 0.0, "quad2d", evals, err)
 
 
 def _check_mc_finiteness(alpha: float, s, theta):

@@ -162,6 +162,41 @@ def test_student_t_quantile_closed_forms():
     np.testing.assert_allclose(t2, (1 - 2 * u) / np.sqrt(2 * u * (1 - u)), atol=1e-12)
 
 
+def test_student_t_quantile_deep_tail():
+    # stdtrit loses the upper tail past v ~ 1e-160 (N = 3: a factor 2 off,
+    # then -inf); below 1e-150 the quantile inverts the beta variable
+    from scipy import special
+
+    v = np.logspace(-300, -100, 201)
+    for N in (3, 6, 9):
+        dist = DistributionSpec("student_t", (float(N),))
+        x = upper_quantile(dist, v)
+        np.testing.assert_allclose(special.stdtr(N, -x), v, rtol=1e-14)
+        assert [float(upper_quantile(dist, float(y))) for y in v[::40]] == list(x[::40])
+        assert upper_quantile(dist, 0.0) == math.inf
+        # from the switch up, the values are stdtrit's, bit for bit
+        w = np.array([1e-150, 1e-100, 1e-3, 0.3, 0.7])
+        assert np.array_equal(upper_quantile(dist, w), -special.stdtrit(N, w))
+    # N = 1 is the Cauchy law, whose beta variable would underflow
+    v = np.append(v, 0.0)
+    t1 = upper_quantile(DistributionSpec("student_t", (1.0,)), v)
+    with np.errstate(divide="ignore"):
+        np.testing.assert_allclose(t1, upper_quantile(DistributionSpec("cauchy"), v), rtol=1e-14)
+
+
+def test_student_t_quantile_deep_tail_mpmath():
+    # the survival function 0.5 I_w(N/2, 1/2), w = N / (N + x^2), at 40
+    # digits, independent of scipy
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for N in (3, 6, 9):
+            dist = DistributionSpec("student_t", (float(N),))
+            for v in (1e-151, 1e-200, 1e-250, 1e-300):
+                x = mpmath.mpf(float(upper_quantile(dist, v)))
+                sf = mpmath.betainc(N / 2, 0.5, 0, N / (N + x**2), regularized=True) / 2
+                assert float(sf / v) == pytest.approx(1.0, rel=1e-14)
+
+
 def test_t_and_f_cdf_match_scipy_stats():
     from scipy.stats import f as scipy_f
     from scipy.stats import t as scipy_t

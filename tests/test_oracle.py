@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from paretotail.betamoments import RankSpec, joint_beta_moment
-from paretotail.catalog import DistributionSpec, parse_distribution
+from paretotail.catalog import DistributionSpec, parse_distribution, tail_of
 from paretotail.errors import CapabilityError, InfiniteMomentError, ParetoTailError
 from paretotail.oracle import (
     OracleResult,
     RateFit,
+    _adaptive_joint_moment,
+    _adaptive_moment,
+    _gauss_jacobi,
     convergence_rate_probe,
     mc_third_cumulant,
     mc_top_order_stats,
@@ -26,7 +29,7 @@ def test_quad_moment_pareto_exact():
         res = quad_moment(dist, n, s, theta)
         want = joint_beta_moment(RankSpec(n, (n - s,)), (-theta,))
         assert res.value == pytest.approx(want, rel=1e-9)
-        assert res.method == "quad1d"
+        assert res.method == "gauss_jacobi"
         assert res.cost > 0
 
 
@@ -64,7 +67,11 @@ def test_quad_moment_f_dist_second_moment_closed_form():
     dist = parse_distribution("f_dist(2,6)")
     for n in (50, 200):
         want = 9.0 * (ev(n, 2 / 3) - 2.0 * ev(n, 1 / 3) + 1.0)
-        assert quad_moment(dist, n, 0, 2.0).value == pytest.approx(want, rel=1e-10)
+        res = quad_moment(dist, n, 0, 2.0)
+        assert res.value == pytest.approx(want, rel=1e-10)
+        # u = v^(1/3) makes the integrand 9 (1 - u)^2: the rule, not the
+        # fallback, meets the closed form
+        assert res.method == "gauss_jacobi"
     assert 9.0 * (ev(50, 2 / 3) - 2.0 * ev(50, 1 / 3) + 1.0) == pytest.approx(
         246.963313346, rel=1e-11
     )
@@ -72,10 +79,100 @@ def test_quad_moment_f_dist_second_moment_closed_form():
 
 @pytest.mark.filterwarnings("ignore")
 def test_quad_refuses_non_finite_integral():
-    # p = 200 in the endpoint substitution: w^200 underflows v to 0 and the
-    # integrand to inf * 0; the moment itself is finite
+    # the adaptive path's endpoint substitution has p = 200: w^200 underflows
+    # v to 0 and the integrand to inf * 0, though the moment is finite
     with pytest.raises(ParetoTailError, match="nan"):
-        quad_moment(parse_distribution("pareto"), 50, 0, 0.99)
+        _adaptive_moment(parse_distribution("pareto"), 50, 0, 0.99)
+
+
+def test_quad_moment_near_finiteness_boundary():
+    # E X_{50,50}^0.99 = 50 Gamma(0.01) Gamma(50) / Gamma(50.01): the Jacobi
+    # weight takes v^-0.99 exactly, where the adaptive path underflows
+    want = 50 * math.exp(math.lgamma(0.01) + math.lgamma(50) - math.lgamma(50.01))
+    res = quad_moment(parse_distribution("pareto"), 50, 0, 0.99)
+    assert res.method == "gauss_jacobi"
+    assert res.value == pytest.approx(want, rel=1e-13)
+    assert want == pytest.approx(4781.3679987, rel=1e-10)
+
+
+QUANTILE_LAWS = (
+    "pareto",
+    "pareto(1.5)",
+    "cauchy",
+    "student_t(3)",
+    "student_t(4)",
+    "f_dist(2,6)",
+    "f_dist(3,5)",
+    "frechet(1)",
+    "frechet(2.5)",
+)
+
+
+@pytest.mark.parametrize("n", (20, 200, 1000))
+@pytest.mark.parametrize("law", QUANTILE_LAWS)
+def test_quad_moment_against_adaptive_referee(law, n):
+    # the public oracle (Gauss-Jacobi where a rung agrees) against the
+    # adaptive path at every depth where the mean is finite
+    dist = parse_distribution(law)
+    alpha = tail_of(dist, 0).alpha
+    for s in (0, 1, 3):
+        if s + 1 - 1 / alpha <= 0:
+            continue
+        res = quad_moment(dist, n, s, 1.0)
+        ref = _adaptive_moment(dist, n, s, 1.0)
+        assert res.value == pytest.approx(ref.value, rel=1e-10), s
+        assert res.method in ("gauss_jacobi", "quad1d")
+        assert 0 <= res.abserr <= 1e-10 * abs(res.value) + 1e-10
+    for s1, s2 in ((2, 1), (3, 1), (5, 2)):
+        res = quad_joint_moment(dist, n, s1, s2, 1.0, 1.0)
+        ref = _adaptive_joint_moment(dist, n, s1, s2, 1.0, 1.0)
+        assert res.value == pytest.approx(ref.value, rel=1e-10), (s1, s2)
+        assert res.method in ("gauss_jacobi", "quad2d")
+        assert 0 <= res.abserr <= 1e-8 * abs(res.value) + 1e-8
+
+
+def test_quad_gauss_jacobi_covers_the_integer_gap_laws():
+    # with an integer gap the integrand is smooth in v and the rule always
+    # confirms itself; only fractional gaps at large n fall back
+    for law in ("pareto(1.5)", "cauchy", "frechet(1)", "frechet(2.5)"):
+        dist = parse_distribution(law)
+        for n in (20, 200, 1000):
+            assert quad_moment(dist, n, 1, 1.0).method == "gauss_jacobi"
+            assert quad_joint_moment(dist, n, 5, 2, 1.0, 1.0).method == "gauss_jacobi"
+
+
+def test_quad_falls_back_to_adaptive():
+    # student_t(31) has gap 2/31: in u = v^(1/31) no rung agrees, so the
+    # adaptive value comes back under its own name, with both costs counted
+    dist = parse_distribution("student_t(31)")
+    res = quad_moment(dist, 50, 1, 1.0)
+    ref = _adaptive_moment(dist, 50, 1, 1.0)
+    assert res.method == "quad1d"
+    assert res.value == ref.value and res.abserr == ref.abserr > 0
+    assert res.cost > ref.cost
+    res = quad_joint_moment(dist, 200, 2, 1, 1.0, 1.0)
+    ref = _adaptive_joint_moment(dist, 200, 2, 1, 1.0, 1.0)
+    assert res.method == "quad2d"
+    assert res.value == ref.value and res.abserr == ref.abserr > 0
+    assert res.cost > ref.cost
+
+
+def test_gauss_jacobi_three_depths():
+    # the k-generic rule on the unit Pareto, where the integrand is 1 and
+    # the rule reproduces the product of beta ratios
+    res, nodes = _gauss_jacobi(
+        parse_distribution("pareto"), 30, (5, 3, 1), (1.0, 0.5, 0.25), 1e-10, 1e-11
+    )
+    want = joint_beta_moment(RankSpec(30, (25, 27, 29)), (-1, -0.5, -0.25))
+    assert res.method == "gauss_jacobi"
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert res.cost == nodes == 16**3 + 24**3
+    # ties merge: depths (3, 3, 1) are the pair (3, 1) with powers summed
+    tied, _ = _gauss_jacobi(
+        parse_distribution("pareto"), 30, (3, 3, 1), (0.5, 0.5, 0.25), 1e-10, 1e-11
+    )
+    want = joint_beta_moment(RankSpec(30, (27, 29)), (-1, -0.25))
+    assert tied.value == pytest.approx(want, rel=1e-12)
 
 
 def test_quad_refuses_complex_powers_on_two_sided_laws():
