@@ -34,6 +34,8 @@ from .expansion import (
 )
 from .ledger import ledger_rows
 from .oracle import (
+    _MC_MARGIN,
+    _check_lower_tail,
     _check_mc_finiteness,
     convergence_rate_probe,
     mc_top_order_stats,
@@ -193,12 +195,16 @@ def _normalization(dist: DistributionSpec, n: int, theta_total: float) -> float:
     return float(n * tail.c[0]) ** (theta_total / tail.alpha)
 
 
-def _require_mc_standard_error(dist: DistributionSpec, s) -> None:
+def _require_mc_standard_error(dist: DistributionSpec, s, n_grid) -> None:
     """Refuse a Monte Carlo check whose product has an infinite second
-    moment: its batch standard error, and so the noise floor, would mean
-    nothing."""
+    moment at some n of the grid: its batch standard error, and so the
+    noise floor, would mean nothing."""
+    alpha = tail_of(dist, 0).alpha
+    squared = (2.0,) * len(s)
     try:
-        _check_mc_finiteness(tail_of(dist, 0).alpha, s, (2.0,) * len(s))
+        _check_mc_finiteness(alpha, s, squared)
+        for n in n_grid:
+            _check_lower_tail(dist, alpha, n, s, squared, _MC_MARGIN)
     except InfiniteMomentError as exc:
         raise ParetoTailError(
             f"--oracle mc cannot verify {dist} at --s {','.join(map(str, s))}: "
@@ -210,7 +216,7 @@ def _require_mc_standard_error(dist: DistributionSpec, s) -> None:
 def _verify_values(args, dist, s, n_grid):
     """(expansion value, oracle value, oracle floor) per n."""
     if args.oracle == "mc":
-        _require_mc_standard_error(dist, s)
+        _require_mc_standard_error(dist, s, n_grid)
     if len(s) == 1:
         tail = tail_of(dist, max(args.jmax, 1))
         exp = mean_expansion(tail, s[0], imax=args.imax, jmax=args.jmax)

@@ -3,13 +3,14 @@
 Nothing here reuses the expansion machinery.  Moments of top order
 statistics are computed by integrating quantiles against the exact
 multivariate beta density of uniform order statistics, or by simulating the
-top block of uniforms directly through exponential spacings.
+top block of uniforms directly through exponential spacings (for a law with
+a sampler but no quantile, its own top block, through one sampler per call).
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
 absorb the density's endpoint singularities exactly, with nodes from the
 Golub-Welsch construction (Golub & Welsch, Math. Comp. 23, 1969), and fall
 back to nested adaptive ``quad`` when two rules of the node ladder do not
-agree.
+agree or a rule comes out non-finite.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import math
 from dataclasses import dataclass, replace
 
 from .betamoments import suffix_sums
-from .catalog import DistributionSpec, tail_of, upper_quantile, make_rng, sample_top
+from .catalog import (
+    DistributionSpec,
+    _top_sampler,
+    make_rng,
+    tail_of,
+    upper_quantile,
+)
 from .errors import CapabilityError, InfiniteMomentError, ParetoTailError
 
 __all__ = [
@@ -111,6 +118,29 @@ def _require_real_powers(dist: DistributionSpec, *thetas) -> None:
             f"{dist} takes negative values, so X^theta needs an integer "
             f"theta; got {thetas}"
         )
+
+
+def _check_lower_tail(
+    dist: DistributionSpec, alpha: float, n: int, s, theta, margin=0.0
+) -> None:
+    """Refuse a moment that the lower tail of a two-sided law makes infinite.
+
+    With the depths sorted deepest first, the i deepest order statistics all
+    fall below -x when n - s_(i) draws do, with probability ~ x^(-(n -
+    s_(i)) alpha), so E prod X^theta needs (n - s_(i)) alpha to exceed
+    theta_(1) + ... + theta_(i), by more than ``margin``, for every i.
+    """
+    if not dist.two_sided:
+        return
+    total = 0.0
+    for si, ti in sorted(zip(s, theta), reverse=True):
+        total += ti
+        if (n - si) * alpha - total <= margin:
+            raise InfiniteMomentError(
+                f"moment infinite through the lower tail of {dist}: cumulative "
+                f"power {total} reaches (n - s) alpha = {(n - si) * alpha} at "
+                f"depth {si}"
+            )
 
 
 def _finite(value: float, dist: DistributionSpec, n: int, s, theta) -> float:
@@ -212,15 +242,25 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
     psi = [t / alpha for t in powers]
     q = _gap_denominator(dist)
     nodes = 0
+
+    def rule(m):
+        nonlocal nodes
+        nodes += m ** len(depths)
+        return _gauss_jacobi_rule(dist, n, depths, powers, psi, q, m)
+
+    # a non-finite rule (inf weights once n - s passes ~1020, or an
+    # overflowing integrand) stays non-finite with more nodes: fall back
     with np.errstate(all="ignore"):
         for m1, m2 in _GJ_LADDER:
-            i1 = _gauss_jacobi_rule(dist, n, depths, powers, psi, q, m1)
-            i2 = _gauss_jacobi_rule(dist, n, depths, powers, psi, q, m2)
-            nodes += m1 ** len(depths) + m2 ** len(depths)
+            i1 = rule(m1)
+            if not math.isfinite(i1):
+                break
+            i2 = rule(m2)
             err = abs(i2 - i1)
-            # a non-finite rule makes err nan or inf and fails the test
             if err <= max(epsabs, epsrel * abs(i2)):
                 return OracleResult(i2, 0.0, "gauss_jacobi", nodes, err), nodes
+            if not math.isfinite(err):
+                break
     return None, nodes
 
 
@@ -239,6 +279,7 @@ def quad_moment(
         )
     if n - s < 1:
         raise ValueError(f"depth s={s} too large for n={n}")
+    _check_lower_tail(dist, alpha, n, (s,), (theta,))
     res, nodes = _gauss_jacobi(dist, n, (s,), (theta,), epsabs, _EPSREL_1D)
     if res is None:
         res = _adaptive_moment(dist, n, s, theta, epsabs)
@@ -321,6 +362,9 @@ def quad_joint_moment(
         raise InfiniteMomentError(
             f"joint moment infinite for s=({s1},{s2}), theta=({theta1},{theta2})"
         )
+    if n - s1 < 1:
+        raise ValueError(f"depth s1={s1} too large for n={n}")
+    _check_lower_tail(dist, alpha, n, (s1, s2), (theta1, theta2))
     res, nodes = _gauss_jacobi(
         dist, n, (s1, s2), (theta1, theta2), epsabs, _EPSREL_2D
     )
@@ -394,17 +438,39 @@ def _check_mc_finiteness(alpha: float, s, theta):
             )
 
 
-def _top_block_v(dist, n, smax, bsize, rng):
-    """Matrix of v_s = 1 - U_{n,n-s}, columns s = 0..smax, via exponential
-    spacings (never sorting n draws)."""
+def _top_blocks(dist, n, smax, reps, seed, batches):
+    """An iterator over the batches' top blocks: ``reps // batches`` x
+    ``smax + 1`` arrays whose column s holds X_{n,n-s}, drawn from stream
+    (seed, b) for batch b.  A law with a quantile maps through it the top
+    block of v_s = 1 - U_{n,n-s}, built from exponential spacings (never
+    sorting n draws); one without draws through a single top-block sampler
+    for all batches."""
+    if reps < 10_000:
+        raise ValueError(f"reps must be >= 10000, got {reps}")
+    if batches < 2:
+        raise ValueError(f"a standard error needs batches >= 2, got {batches}")
+    bsize = reps // batches
     if dist.has_numeric_quantile:
-        exps = rng.exponential(1.0, (bsize, smax + 1))
-        tops = np.cumsum(exps, axis=1)
-        total = rng.gamma(n - smax, 1.0, bsize) + tops[:, -1]
-        return tops / total[:, None]
-    if not dist.has_sampler:
-        raise CapabilityError(f"{dist} has neither quantile nor sampler")
-    return None
+
+        def block(rng):
+            tops = np.cumsum(rng.exponential(1.0, (bsize, smax + 1)), axis=1)
+            total = rng.gamma(n - smax, 1.0, bsize) + tops[:, -1]
+            return upper_quantile(dist, tops / total[:, None])
+
+    else:
+        block = _top_sampler(dist, bsize, n, smax + 1)  # column s = depth s
+
+    def blocks():
+        for b in range(batches):
+            x = block(make_rng(seed, b))
+            if not np.all(np.isfinite(x)):
+                raise ParetoTailError(
+                    f"Monte Carlo top block for {dist} at n={n} has non-finite "
+                    f"values in batch {b}: the simulation under- or overflowed"
+                )
+            yield x
+
+    return blocks()
 
 
 def mc_top_order_stats(
@@ -422,30 +488,18 @@ def mc_top_order_stats(
     batch-mean standard errors; deterministic for fixed (seed, reps,
     batches).
     """
-    if reps < 10_000:
-        raise ValueError(f"reps must be >= 10000, got {reps}")
     if np is None:
         _load_numpy()
     specs = [(tuple(s), tuple(t)) for s, t in specs]
     alpha = tail_of(dist, 0).alpha
     for s, t in specs:
         _check_mc_finiteness(alpha, s, t)
+        _check_lower_tail(dist, alpha, n, s, t, _MC_MARGIN)
     smax = max(max(s) for s, _ in specs)
+    blocks = _top_blocks(dist, n, smax, reps, seed, batches)
     bsize = reps // batches
     sums = np.zeros((batches, len(specs)))
-    direct = not dist.has_numeric_quantile
-    for b in range(batches):
-        rng = make_rng(seed, b)
-        if direct:
-            x_by_s = sample_top(dist, rng, bsize, n, smax + 1)  # column s = depth s
-        else:
-            v = _top_block_v(dist, n, smax, bsize, rng)
-            x_by_s = upper_quantile(dist, v)
-        if not np.all(np.isfinite(x_by_s)):
-            raise ParetoTailError(
-                f"Monte Carlo top block for {dist} at n={n} has non-finite "
-                f"values in batch {b}: the simulation under- or overflowed"
-            )
+    for b, x_by_s in enumerate(blocks):
         for j, (s, t) in enumerate(specs):
             prod = np.ones(bsize)
             for si, ti in zip(s, t):
@@ -475,16 +529,12 @@ def mc_third_cumulant(
     alpha = tail_of(dist, 0).alpha
     c0 = tail_of(dist, 0).c[0]
     _check_mc_finiteness(alpha, (s1, s2, s3), (1.0, 1.0, 1.0))
-    smax = max(s)
+    _check_lower_tail(dist, alpha, n, (s1, s2, s3), (1.0, 1.0, 1.0), _MC_MARGIN)
+    blocks = _top_blocks(dist, n, max(s), reps, seed, batches)
     bsize = reps // batches
+    scale = (n * c0) ** (1.0 / alpha)
     kappas = np.zeros(batches)
-    for b in range(batches):
-        rng = make_rng(seed, b)
-        v = _top_block_v(dist, n, smax, bsize, rng)
-        if v is None:
-            raise CapabilityError(f"{dist} has no quantile for the top-block path")
-        x = upper_quantile(dist, v)
-        scale = (n * c0) ** (1.0 / alpha)
+    for b, x in enumerate(blocks):
         y1, y2, y3 = x[:, s1] / scale, x[:, s2] / scale, x[:, s3] / scale
         m123 = (y1 * y2 * y3).mean()
         m12, m13, m23 = (y1 * y2).mean(), (y1 * y3).mean(), (y2 * y3).mean()

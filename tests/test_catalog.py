@@ -271,6 +271,20 @@ def test_sample_top_matches_sorted_sample(alpha):
             assert same_bits(got, want), (n, k, seed)
 
 
+def test_top_sampler_draws_are_fresh_arrays():
+    # one sampler reuses its work arrays across draws; no result may be a
+    # view of them, so a later draw leaves an earlier result unchanged
+    dist = parse_distribution("stable(0.5,-0.5)")
+    draw = catalog._top_sampler(dist, 300, 50, 5)
+    first = draw(make_rng(1))
+    kept = first.copy()
+    second = draw(make_rng(2))
+    assert same_bits(first, kept)
+    assert same_bits(first, sample_top(dist, make_rng(1), 300, 50, 5))
+    assert same_bits(second, sample_top(dist, make_rng(2), 300, 50, 5))
+    assert not np.shares_memory(first, second)
+
+
 def test_sample_top_other_laws_and_errors():
     dist = parse_distribution("frechet(2)")
     got = sample_top(dist, make_rng(4), 50, 30, 3)

@@ -193,6 +193,19 @@ def test_verify_mc_refuses_undefined_standard_error(capsys):
     assert "standard error is undefined" in capsys.readouterr().err
 
 
+def test_verify_mc_refuses_lower_tail_infinite_variance(capsys):
+    # at n = 5 the square of X_{5,2}, the second lowest of five Cauchy
+    # draws, needs n - s = 2 draws below -x against its power 2
+    argv = ["verify", "--dist", "cauchy", "--s", "3", "--n", "5,6,7"]
+    mc = ["--oracle", "mc", "--reps", "10000", "--seed", "1"]
+    code, out = run_cli(argv + mc)
+    assert code == 2
+    assert out == ""
+    assert "lower tail" in capsys.readouterr().err
+    code, _ = run_cli(argv[:-1] + ["6,7,8"] + mc)
+    assert code in (0, 1)
+
+
 def test_seed_env_var(monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "12345")
     from paretotail.cli import _build_parser

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from paretotail import catalog, oracle
 from paretotail.betamoments import RankSpec, joint_beta_moment
-from paretotail.catalog import DistributionSpec, parse_distribution, tail_of
+from paretotail.catalog import (
+    DistributionSpec,
+    make_rng,
+    parse_distribution,
+    sample_top,
+    tail_of,
+)
 from paretotail.errors import CapabilityError, InfiniteMomentError, ParetoTailError
 from paretotail.oracle import (
     OracleResult,
@@ -175,6 +182,46 @@ def test_gauss_jacobi_three_depths():
     assert tied.value == pytest.approx(want, rel=1e-12)
 
 
+def test_quad_refuses_lower_tail_infinite_moments():
+    # the lowest of the order statistics needs (n - s) alpha above the
+    # powers at or above its depth: here n - s = 1 draw against theta 1
+    cauchy = parse_distribution("cauchy")
+    with pytest.raises(InfiniteMomentError, match="lower tail"):
+        quad_moment(cauchy, 2, 1, 1.0)
+    with pytest.raises(InfiniteMomentError, match="lower tail"):
+        quad_moment(cauchy, 3, 2, 1.0)
+    with pytest.raises(InfiniteMomentError, match="lower tail"):
+        quad_joint_moment(cauchy, 3, 2, 1, 1.0, 1.0)
+    with pytest.raises(InfiniteMomentError, match="lower tail"):
+        quad_joint_moment(cauchy, 4, 3, 1, 1.0, 1.0)
+    with pytest.raises(InfiniteMomentError, match="lower tail"):
+        mc_top_order_stats(cauchy, 3, [((2,), (1.0,))], reps=10_000, seed=1)
+    # finite ones still integrate: the median of three Cauchy draws has mean 0
+    t3 = parse_distribution("student_t(3)")
+    assert math.isfinite(quad_moment(t3, 2, 1, 1.0).value)
+    assert math.isfinite(quad_moment(t3, 3, 2, 2.0).value)
+    assert abs(quad_moment(cauchy, 3, 1, 1.0).value) < 1e-12
+
+
+def test_gauss_jacobi_stops_at_first_non_finite_rule(monkeypatch):
+    # roots_jacobi's weights overflow once n - s passes ~1020, so the first
+    # rule is not finite and no further rule is tried
+    sizes = []
+    rule = oracle._gauss_jacobi_rule
+
+    def counting(*args):
+        sizes.append(args[-1])
+        return rule(*args)
+
+    monkeypatch.setattr(oracle, "_gauss_jacobi_rule", counting)
+    dist = parse_distribution("cauchy")
+    res = quad_moment(dist, 3000, 1, 1.0)
+    ref = _adaptive_moment(dist, 3000, 1, 1.0)
+    assert res.method == "quad1d"
+    assert len(sizes) <= 2
+    assert res.value == ref.value and res.cost == ref.cost + sum(sizes)
+
+
 def test_quad_refuses_complex_powers_on_two_sided_laws():
     with pytest.raises(CapabilityError):
         quad_moment(parse_distribution("cauchy"), 50, 0, 0.9)
@@ -231,12 +278,71 @@ def test_mc_refuses_non_finite_draws():
         mc_top_order_stats(dist, 50, [((1,), (0.2,))], reps=20_000, seed=3)
 
 
+def mc_by_batch(dist, n, specs, reps, seed, batches=25):
+    """(means, standard errors) of mc_top_order_stats, recomputed from one
+    sample_top call per batch."""
+    bsize = reps // batches
+    smax = max(max(s) for s, _ in specs)
+    sums = np.zeros((batches, len(specs)))
+    for b in range(batches):
+        x = sample_top(dist, make_rng(seed, b), bsize, n, smax + 1)
+        if not np.all(np.isfinite(x)):
+            return None
+        for j, (s, t) in enumerate(specs):
+            prod = np.ones(bsize)
+            for si, ti in zip(s, t):
+                prod = prod * x[:, si] ** ti
+            sums[b, j] = prod.mean()
+    means = [sums[:, j].mean() for j in range(len(specs))]
+    ses = [sums[:, j].std(ddof=1) / math.sqrt(batches) for j in range(len(specs))]
+    return means, ses
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [1, 5, 200])
+def test_mc_stable_matches_sample_top_per_batch(alpha, n):
+    dist = DistributionSpec("stable", (alpha, -alpha))
+    specs = [((0,), (0.2,))]
+    if n > 1:
+        specs.append(((min(n - 1, 4), 1), (0.2, 0.2)))
+    with np.errstate(all="ignore"):
+        want = mc_by_batch(dist, n, specs, 10_000, 17)
+        if want is None:  # near alpha = 1 some draws under- or overflow
+            with pytest.raises(ParetoTailError, match="non-finite"):
+                mc_top_order_stats(dist, n, specs, reps=10_000, seed=17)
+            return
+        got = mc_top_order_stats(dist, n, specs, reps=10_000, seed=17)
+    for res, mean, se in zip(got, *want):
+        assert res.value == mean and res.std_error == se
+
+
+def test_mc_builds_the_kanter_table_once(monkeypatch):
+    calls = []
+    bounds = catalog._kanter_bounds
+
+    def counting(alpha):
+        calls.append(alpha)
+        return bounds(alpha)
+
+    monkeypatch.setattr(catalog, "_kanter_bounds", counting)
+    dist = parse_distribution("stable(0.7,-0.7)")
+    mc_top_order_stats(dist, 50, [((4,), (1.0,))], reps=10_000, seed=2)
+    assert calls == [0.7]
+    mc_third_cumulant(dist, 50, (5, 3, 1), reps=10_000, seed=2)
+    assert calls == [0.7, 0.7]
+
+
 def test_mc_guard_refuses_near_boundary():
     dist = parse_distribution("pareto(1)")
     with pytest.raises(InfiniteMomentError):
         mc_top_order_stats(dist, 50, [((1,), (1.97,))], reps=20_000, seed=1)
     with pytest.raises(ValueError):
         mc_top_order_stats(dist, 50, [((1,), (1.0,))], reps=100, seed=1)
+    with pytest.raises(ValueError):
+        mc_third_cumulant(dist, 50, (3, 2, 1), reps=10, seed=1)
+    for batches in (0, 1):
+        with pytest.raises(ValueError, match="batches"):
+            mc_top_order_stats(dist, 50, [((1,), (1.0,))], 20_000, 1, batches)
 
 
 def test_mc_determinism():
@@ -255,6 +361,31 @@ def test_mc_third_cumulant_pareto():
     exact = 0.5 - (13.0 / 6.0) / n + 2.0 / n**2
     # infinite-variance estimator; allow a generous bracket
     assert abs(res.value - exact) <= 6 * res.std_error + 0.05
+
+
+def test_mc_third_cumulant_stable():
+    # the one-sided stable law has no quantile: its top blocks come from the
+    # sampler, and each batch's cumulant is that of one sample_top draw
+    dist = parse_distribution("stable(0.7,-0.7)")
+    n, reps, seed, batches = 50, 10_000, 11, 25
+    res = mc_third_cumulant(dist, n, (5, 3, 1), reps=reps, seed=seed)
+    tail = tail_of(dist, 0)
+    scale = (n * tail.c[0]) ** (1.0 / tail.alpha)
+    kappas = np.zeros(batches)
+    for b in range(batches):
+        x = sample_top(dist, make_rng(seed, b), reps // batches, n, 6)
+        y1, y2, y3 = x[:, 5] / scale, x[:, 3] / scale, x[:, 1] / scale
+        m1, m2, m3 = y1.mean(), y2.mean(), y3.mean()
+        kappas[b] = (
+            (y1 * y2 * y3).mean()
+            - m1 * (y2 * y3).mean()
+            - m2 * (y1 * y3).mean()
+            - m3 * (y1 * y2).mean()
+            + 2.0 * m1 * m2 * m3
+        )
+    assert res.method == "mc" and res.cost == reps
+    assert res.value == kappas.mean()
+    assert res.std_error == kappas.std(ddof=1) / math.sqrt(batches)
 
 
 def test_rate_probe():
