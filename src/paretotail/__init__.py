@@ -20,7 +20,6 @@ from .series import (
     binomial_coefficient,
     falling_factorial,
     rising_factorial,
-    series_exp,
     series_general_power,
     series_log,
     series_multiply,
@@ -30,8 +29,6 @@ from .inversion import invert_series
 from .quantile import (
     QuantilePowerSeries,
     TailModel,
-    eval_quantile_partial,
-    quantile_from_known,
     quantile_series,
 )
 from .betamoments import (
@@ -87,15 +84,12 @@ __all__ = [
     "falling_factorial",
     "series_power",
     "series_log",
-    "series_exp",
     "series_multiply",
     "series_general_power",
     "invert_series",
     "TailModel",
     "QuantilePowerSeries",
     "quantile_series",
-    "quantile_from_known",
-    "eval_quantile_partial",
     "RankSpec",
     "suffix_sums",
     "gamma_ratio",

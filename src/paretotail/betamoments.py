@@ -24,8 +24,8 @@ from .series import rising_factorial
 __all__ = [
     "RankSpec",
     "suffix_sums",
+    "require_finite",
     "gamma_ratio",
-    "falling_general",
     "beta_ratio",
     "merge_ties",
     "joint_beta_moment",
@@ -70,6 +70,18 @@ def suffix_sums(theta: Sequence) -> tuple:
     return tuple(reversed(out))
 
 
+def require_finite(alpha, s, theta, margin=0) -> None:
+    """Refuse E prod X_{n,n-s_i}^theta_i when the upper tail makes it
+    infinite: over nonincreasing depths s, it needs (s_i + 1) alpha to exceed
+    the suffix sum thetabar_i by more than ``margin`` at every depth."""
+    for si, tb in zip(s, suffix_sums(theta)):
+        if not (si + 1) * alpha - tb > margin:
+            raise InfiniteMomentError(
+                f"moment infinite at depth {si}: (s + 1) alpha - cumulative "
+                f"power = {(si + 1) * alpha - tb} <= {margin}"
+            )
+
+
 def _is_integral(x) -> bool:
     if isinstance(x, numbers.Integral):
         return True
@@ -112,11 +124,6 @@ def gamma_ratio(x, t):
     import sympy
 
     return sympy.gamma(x + t) / sympy.gamma(x)
-
-
-def falling_general(x, t):
-    """<x>_t = Gamma(x+1)/Gamma(x-t+1) for arbitrary real t."""
-    return gamma_ratio(x - t + 1, t)
 
 
 def beta_ratio(alpha, beta, theta):

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import CapabilityError, UnsupportedOrderError
+from .errors import CapabilityError, ParetoTailError, UnsupportedOrderError
 from .quantile import TailModel
 from .series import FormalSeries, binomial_coefficient
 
@@ -66,6 +66,8 @@ class DistributionSpec:
         if self.name not in CATALOG_NAMES:
             raise ValueError(f"unknown distribution {self.name!r}")
         p = self.params
+        if not all(math.isfinite(x) for x in p):
+            raise ValueError(f"{self.name} needs finite parameters, got {p}")
         if self.name == "pareto":
             if len(p) > 1:
                 raise ValueError("pareto takes at most one parameter (alpha)")
@@ -147,13 +149,23 @@ def tail_of(dist: DistributionSpec, order: int) -> TailModel:
         raise UnsupportedOrderError(
             f"catalog tail coefficients stop at order {MAX_TAIL_ORDER}"
         )
-    name, p = dist.name, dist.params
+    try:
+        alpha, beta, c = _tail_coefficients(dist.name, dist.params, order)
+    except OverflowError:
+        c = None
+    if c is None or not all(math.isfinite(ci) for ci in c):
+        raise ParetoTailError(f"the tail coefficients of {dist} overflow a float")
+    return TailModel(alpha, beta, FormalSeries(c))
+
+
+def _tail_coefficients(name: str, p: tuple, order: int) -> tuple:
+    """(alpha, beta, [c_0, ..., c_order]) of a catalog law."""
     if name == "pareto":
         alpha = p[0] if p else 1.0
-        return TailModel(alpha, alpha, FormalSeries([1.0] + [0.0] * order))
+        return alpha, alpha, [1.0] + [0.0] * order
     if name == "cauchy":
         c = [(-1.0) ** i / ((2 * i + 1) * math.pi) for i in range(order + 1)]
-        return TailModel(1.0, 2.0, FormalSeries(c))
+        return 1.0, 2.0, c
     if name == "student_t":
         N = int(p[0])
         gam = (N + 1) / 2
@@ -162,7 +174,7 @@ def tail_of(dist: DistributionSpec, order: int) -> TailModel:
             binomial_coefficient(-gam, i) * N ** (gam + i) * g_n / (N + 2 * i)
             for i in range(order + 1)
         ]
-        return TailModel(float(N), 2.0, FormalSeries(c))
+        return float(N), 2.0, c
     if name == "f_dist":
         # tail index N/2 with d_i carrying nu^{-i}: fixed points of the
         # closed-form check 1 - F = (1 + nu x)^{-N/2} at M = 2
@@ -176,18 +188,18 @@ def tail_of(dist: DistributionSpec, order: int) -> TailModel:
             h_mn * binomial_coefficient(-gam, i) * nu ** (-i) / (N / 2 + i)
             for i in range(order + 1)
         ]
-        return TailModel(N / 2, 1.0, FormalSeries(c))
+        return N / 2, 1.0, c
     if name == "stable":
         alpha, gamma = p
         c = [
             _stable_density_coeff(i + 1, alpha, gamma) / (alpha * (i + 1))
             for i in range(order + 1)
         ]
-        return TailModel(alpha, alpha, FormalSeries(c))
+        return alpha, alpha, c
     if name == "frechet":
         alpha = p[0]
         c = [(-1.0) ** i / math.factorial(i + 1) for i in range(order + 1)]
-        return TailModel(alpha, alpha, FormalSeries(c))
+        return alpha, alpha, c
     raise AssertionError(name)
 
 

@@ -35,8 +35,7 @@ from .expansion import (
 from .ledger import ledger_rows
 from .oracle import (
     _MC_MARGIN,
-    _check_lower_tail,
-    _check_mc_finiteness,
+    _require_moment,
     convergence_rate_probe,
     mc_top_order_stats,
     quad_joint_moment,
@@ -199,12 +198,10 @@ def _require_mc_standard_error(dist: DistributionSpec, s, n_grid) -> None:
     """Refuse a Monte Carlo check whose product has an infinite second
     moment at some n of the grid: its batch standard error, and so the
     noise floor, would mean nothing."""
-    alpha = tail_of(dist, 0).alpha
     squared = (2.0,) * len(s)
     try:
-        _check_mc_finiteness(alpha, s, squared)
         for n in n_grid:
-            _check_lower_tail(dist, alpha, n, s, squared, _MC_MARGIN)
+            _require_moment(dist, n, s, squared, _MC_MARGIN)
     except InfiniteMomentError as exc:
         raise ParetoTailError(
             f"--oracle mc cannot verify {dist} at --s {','.join(map(str, s))}: "
@@ -214,65 +211,51 @@ def _require_mc_standard_error(dist: DistributionSpec, s, n_grid) -> None:
 
 
 def _verify_values(args, dist, s, n_grid):
-    """(expansion value, oracle value, oracle floor) per n."""
+    """(remainder order, rows of (n, expansion value, oracle value, oracle
+    floor)): the mean of X_{n,n-s} for one depth, the covariance for two,
+    with the oracle's moments over the depth blocks of the cumulant."""
     if args.oracle == "mc":
         _require_mc_standard_error(dist, s, n_grid)
+    tail = tail_of(dist, max(args.jmax, 1))
     if len(s) == 1:
-        tail = tail_of(dist, max(args.jmax, 1))
         exp = mean_expansion(tail, s[0], imax=args.imax, jmax=args.jmax)
         # drop grid stragglers beyond the first omitted order so the fitted
         # slope is comparable with the remainder tag
         exp = exp.truncated(exp.remainder_order - 0.5)
         remainder = exp.remainder_order
-        rows = []
-        for n in n_grid:
-            ev, _ = exp.evaluate(n)
-            if args.oracle == "quad":
-                res = quad_moment(dist, n, s[0], 1.0)
-                floor = 1e-9
-            else:
-                (res,) = mc_top_order_stats(
-                    dist, n, [((s[0],), (1.0,))], args.reps, args.seed
-                )
-                floor = 4.0 * res.std_error / _normalization(dist, n, 1.0)
-            ov = res.value / _normalization(dist, n, 1.0)
-            rows.append((n, ev, ov, floor))
-        return remainder, rows
-    if len(s) == 2:
-        tail = tail_of(dist, max(args.jmax, 1))
+
+        def expansion(n):
+            return exp.evaluate(n)[0]
+
+        blocks = [s]
+    elif len(s) == 2:
         rep = covariance_expansion(tail, s[0], s[1])
         remainder = 2.0 * rep.a0
-        rows = []
-        for n in n_grid:
-            ev = rep.evaluate(n)
-            if args.oracle == "quad":
-                pair = quad_joint_moment(dist, n, s[0], s[1], 1.0, 1.0)
-                m1 = quad_moment(dist, n, s[0], 1.0)
-                m2 = quad_moment(dist, n, s[1], 1.0)
-                norm1 = _normalization(dist, n, 1.0)
-                ov = pair.value / norm1**2 - m1.value * m2.value / norm1**2
-                floor = 1e-8
-            else:
-                res_pair, res1, res2 = mc_top_order_stats(
-                    dist,
-                    n,
-                    [
-                        ((s[0], s[1]), (1.0, 1.0)),
-                        ((s[0],), (1.0,)),
-                        ((s[1],), (1.0,)),
-                    ],
-                    args.reps,
-                    args.seed,
-                )
-                norm1 = _normalization(dist, n, 1.0)
-                ov = (
-                    res_pair.value / norm1**2
-                    - res1.value * res2.value / norm1**2
-                )
-                floor = 4.0 * res_pair.std_error / norm1**2
-            rows.append((n, ev, ov, floor))
-        return remainder, rows
-    raise SystemExit(_usage_error("verify supports 1 or 2 depths in --s"))
+        expansion = rep.evaluate
+        blocks = [s, s[:1], s[1:]]
+    else:
+        raise SystemExit(_usage_error("verify supports 1 or 2 depths in --s"))
+    rows = []
+    for n in n_grid:
+        ev = expansion(n)
+        norm = _normalization(dist, n, 1.0) ** len(s)
+        if args.oracle == "quad":
+            res = [
+                quad_moment(dist, n, b[0], 1.0)
+                if len(b) == 1
+                else quad_joint_moment(dist, n, b[0], b[1], 1.0, 1.0)
+                for b in blocks
+            ]
+            floor = 1e-9 if len(s) == 1 else 1e-8
+        else:
+            specs = [(b, (1.0,) * len(b)) for b in blocks]
+            res = mc_top_order_stats(dist, n, specs, args.reps, args.seed)
+            floor = 4.0 * res[0].std_error / norm
+        ov = res[0].value / norm
+        if len(res) == 3:
+            ov -= res[1].value * res[2].value / norm
+        rows.append((n, ev, ov, floor))
+    return remainder, rows
 
 
 def _cmd_verify(args, out) -> int:

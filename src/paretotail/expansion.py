@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .betamoments import gamma_ratio_coeffs, n_free_factor, suffix_sums
-from .errors import InfiniteMomentError, UnsupportedOrderError
-from .quantile import QuantilePowerSeries, TailModel, quantile_series
+from .betamoments import gamma_ratio_coeffs, n_free_factor, require_finite
+from .errors import UnsupportedOrderError
+from .quantile import QuantilePowerSeries, TailModel, _exact_ratio, quantile_series
 from .series import FormalSeries
 
 __all__ = [
@@ -64,13 +64,7 @@ class MomentQuery:
             raise UnsupportedOrderError(
                 f"jmax={self.jmax} exceeds the tail model order {self.tail.order}"
             )
-        tbar = suffix_sums(self.theta)
-        for si, tb in zip(self.s, tbar):
-            if not tb < (si + 1) * self.tail.alpha:
-                raise InfiniteMomentError(
-                    f"moment infinite: cumulative power {tb} >= "
-                    f"(s+1)*alpha = {(si + 1) * self.tail.alpha} at depth {si}"
-                )
+        require_finite(self.tail.alpha, self.s, self.theta)
 
     @property
     def k(self) -> int:
@@ -78,7 +72,7 @@ class MomentQuery:
 
     @property
     def psi(self) -> tuple:
-        return tuple(t / self.tail.alpha for t in self.theta)
+        return tuple(_exact_ratio(t, self.tail.alpha) for t in self.theta)
 
     @property
     def psibar1(self):
@@ -314,9 +308,6 @@ def dm_coeffs(query: MomentQuery, M: int, N: int, mmax: int) -> list:
 
 def mean_expansion(tail: TailModel, s: int, imax: int = 7, jmax: int = 2) -> ExpansionSeries:
     """Expansion of E Y_{ns} for Y_{ns} = X_{n,n-s} / (n c_0)^{1/alpha}."""
-    lam = 1 / tail.alpha
-    if not s > lam - 1:
-        raise InfiniteMomentError(f"mean infinite: need s > 1/alpha - 1, got s={s}")
     q = MomentQuery(tail, (s,), (1,), imax=imax, jmax=jmax)
     return normalized_moment_expansion(q)
 
@@ -325,14 +316,6 @@ def pair_moment_expansion(
     tail: TailModel, s1: int, s2: int, imax: int = 7, jmax: int = 2
 ) -> ExpansionSeries:
     """Expansion of E Y_{ns1} Y_{ns2} for s1 >= s2."""
-    lam = 1 / tail.alpha
-    if s1 < s2:
-        raise ValueError(f"need s1 >= s2, got ({s1}, {s2})")
-    if not (s1 > 2 * lam - 1 and s2 > lam - 1):
-        raise InfiniteMomentError(
-            f"product moment infinite: need s1 > 2/alpha - 1 and s2 > 1/alpha - 1, "
-            f"got ({s1}, {s2}) with alpha={tail.alpha}"
-        )
     q = MomentQuery(tail, (s1, s2), (1, 1), imax=imax, jmax=jmax)
     return normalized_moment_expansion(q)
 

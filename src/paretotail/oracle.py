@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .betamoments import suffix_sums
+from .betamoments import merge_ties, require_finite, suffix_sums
 from .catalog import (
     DistributionSpec,
     _top_sampler,
@@ -111,15 +111,6 @@ def _power_sub(exponent_gap: float, target: float = 2.0) -> int:
     return max(1, math.ceil(target / exponent_gap))
 
 
-def _require_real_powers(dist: DistributionSpec, *thetas) -> None:
-    """Refuse powers that turn complex on the negative part of the support."""
-    if dist.two_sided and not all(float(t).is_integer() for t in thetas):
-        raise CapabilityError(
-            f"{dist} takes negative values, so X^theta needs an integer "
-            f"theta; got {thetas}"
-        )
-
-
 def _check_lower_tail(
     dist: DistributionSpec, alpha: float, n: int, s, theta, margin=0.0
 ) -> None:
@@ -141,6 +132,26 @@ def _check_lower_tail(
                 f"power {total} reaches (n - s) alpha = {(n - si) * alpha} at "
                 f"depth {si}"
             )
+
+
+def _require_moment(dist: DistributionSpec, n: int, s, theta, margin=0.0) -> None:
+    """The one existence check of every oracle: refuse E prod
+    X_{n,n-s_i}^theta_i over depths s unless they are nonincreasing, the
+    powers stay real on the law's support, both tails leave the moment finite
+    (by more than ``margin``) and the deepest order statistic is in the
+    sample."""
+    if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
+        raise ValueError(f"depths must be nonincreasing, got {s}")
+    if dist.two_sided and not all(float(t).is_integer() for t in theta):
+        raise CapabilityError(
+            f"{dist} takes negative values, so X^theta needs an integer "
+            f"theta; got {theta}"
+        )
+    alpha = tail_of(dist, 0).alpha
+    require_finite(alpha, s, theta, margin)
+    if n - s[0] < 1:
+        raise ValueError(f"depth s={s[0]} too large for n={n}")
+    _check_lower_tail(dist, alpha, n, s, theta, margin)
 
 
 def _finite(value: float, dist: DistributionSpec, n: int, s, theta) -> float:
@@ -231,13 +242,7 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
         _load_numpy()
     if _roots_jacobi is None:
         _load_roots_jacobi()
-    depths, powers = [], []
-    for si, ti in zip(s, theta):
-        if depths and depths[-1] == si:
-            powers[-1] += ti
-        else:
-            depths.append(si)
-            powers.append(ti)
+    depths, powers = merge_ties(s, theta)
     alpha = tail_of(dist, 0).alpha
     psi = [t / alpha for t in powers]
     q = _gap_denominator(dist)
@@ -270,19 +275,23 @@ def quad_moment(
     """E X_{n,n-s}^theta against the beta density: the tensor Gauss-Jacobi
     rule, or adaptive quadrature when the rule cannot confirm its accuracy
     to max(epsabs, 1e-11 |I|)."""
-    _require_real_powers(dist, theta)
-    alpha = tail_of(dist, 0).alpha
-    psi = theta / alpha
-    if s + 1 - psi <= 0:
-        raise InfiniteMomentError(
-            f"moment infinite: s + 1 - theta/alpha = {s + 1 - psi} <= 0"
-        )
-    if n - s < 1:
-        raise ValueError(f"depth s={s} too large for n={n}")
-    _check_lower_tail(dist, alpha, n, (s,), (theta,))
-    res, nodes = _gauss_jacobi(dist, n, (s,), (theta,), epsabs, _EPSREL_1D)
+    return _quad(dist, n, (s,), (theta,), epsabs)
+
+
+def _quad(dist: DistributionSpec, n: int, s, theta, epsabs: float) -> OracleResult:
+    """E prod X_{n,n-s_i}^theta_i over one or two distinct depths: ties are
+    merged before the existence check (a two-sided law's X^0.5 X^0.5 is
+    X^1), then the Gauss-Jacobi rule runs, and adaptive quadrature when it
+    cannot confirm its accuracy."""
+    s, theta = merge_ties(s, theta)
+    _require_moment(dist, n, s, theta)
+    one_d = len(s) == 1
+    res, nodes = _gauss_jacobi(
+        dist, n, s, theta, epsabs, _EPSREL_1D if one_d else _EPSREL_2D
+    )
     if res is None:
-        res = _adaptive_moment(dist, n, s, theta, epsabs)
+        adaptive = _adaptive_moment if one_d else _adaptive_joint_moment
+        res = adaptive(dist, n, *s, *theta, epsabs)
         res = replace(res, cost=res.cost + nodes)
     return res
 
@@ -351,27 +360,7 @@ def quad_joint_moment(
     the 1-D oracle): the tensor Gauss-Jacobi rule, or nested adaptive
     quadrature over the ordered triangle when the rule cannot confirm its
     accuracy to max(epsabs, 1e-9 |I|)."""
-    if s1 == s2:
-        return quad_moment(dist, n, s1, theta1 + theta2, epsabs=epsabs)
-    if s1 < s2:
-        raise ValueError(f"need s1 >= s2, got ({s1}, {s2})")
-    _require_real_powers(dist, theta1, theta2)
-    alpha = tail_of(dist, 0).alpha
-    psi1, psi2 = theta1 / alpha, theta2 / alpha
-    if s2 + 1 - psi2 <= 0 or s1 + 1 - psi1 - psi2 <= 0:
-        raise InfiniteMomentError(
-            f"joint moment infinite for s=({s1},{s2}), theta=({theta1},{theta2})"
-        )
-    if n - s1 < 1:
-        raise ValueError(f"depth s1={s1} too large for n={n}")
-    _check_lower_tail(dist, alpha, n, (s1, s2), (theta1, theta2))
-    res, nodes = _gauss_jacobi(
-        dist, n, (s1, s2), (theta1, theta2), epsabs, _EPSREL_2D
-    )
-    if res is None:
-        res = _adaptive_joint_moment(dist, n, s1, s2, theta1, theta2, epsabs)
-        res = replace(res, cost=res.cost + nodes)
-    return res
+    return _quad(dist, n, (s1, s2), (theta1, theta2), epsabs)
 
 
 def _adaptive_joint_moment(
@@ -428,16 +417,6 @@ def _adaptive_joint_moment(
     return OracleResult(val, 0.0, "quad2d", evals, err)
 
 
-def _check_mc_finiteness(alpha: float, s, theta):
-    tbar = suffix_sums(theta)
-    for si, tb in zip(s, tbar):
-        if (si + 1) * alpha - tb < _MC_MARGIN:
-            raise InfiniteMomentError(
-                f"Monte Carlo refused: cumulative power {tb} too close to the "
-                f"finiteness boundary {(si + 1) * alpha} at depth {si}"
-            )
-
-
 def _top_blocks(dist, n, smax, reps, seed, batches):
     """An iterator over the batches' top blocks: ``reps // batches`` x
     ``smax + 1`` arrays whose column s holds X_{n,n-s}, drawn from stream
@@ -491,10 +470,8 @@ def mc_top_order_stats(
     if np is None:
         _load_numpy()
     specs = [(tuple(s), tuple(t)) for s, t in specs]
-    alpha = tail_of(dist, 0).alpha
     for s, t in specs:
-        _check_mc_finiteness(alpha, s, t)
-        _check_lower_tail(dist, alpha, n, s, t, _MC_MARGIN)
+        _require_moment(dist, n, s, t, _MC_MARGIN)
     smax = max(max(s) for s, _ in specs)
     blocks = _top_blocks(dist, n, smax, reps, seed, batches)
     bsize = reps // batches
@@ -526,10 +503,9 @@ def mc_third_cumulant(
     if np is None:
         _load_numpy()
     s1, s2, s3 = s
+    _require_moment(dist, n, (s1, s2, s3), (1.0, 1.0, 1.0), _MC_MARGIN)
     alpha = tail_of(dist, 0).alpha
     c0 = tail_of(dist, 0).c[0]
-    _check_mc_finiteness(alpha, (s1, s2, s3), (1.0, 1.0, 1.0))
-    _check_lower_tail(dist, alpha, n, (s1, s2, s3), (1.0, 1.0, 1.0), _MC_MARGIN)
     blocks = _top_blocks(dist, n, max(s), reps, seed, batches)
     bsize = reps // batches
     scale = (n * c0) ** (1.0 / alpha)

@@ -7,12 +7,10 @@ exponents i*a - psi, where a = beta/alpha and psi = theta/alpha.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import SingularInputError
 from .inversion import invert_series
 from .series import FormalSeries, series_power
 
@@ -20,9 +18,14 @@ __all__ = [
     "TailModel",
     "QuantilePowerSeries",
     "quantile_series",
-    "quantile_from_known",
-    "eval_quantile_partial",
 ]
+
+
+def _exact_ratio(x, y):
+    """x / y, a ``Fraction`` when both are integers (int / int is a float)."""
+    if isinstance(x, numbers.Integral) and isinstance(y, numbers.Integral):
+        return Fraction(x, y)
+    return x / y
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,7 @@ class TailModel:
     @property
     def a(self):
         """beta / alpha, a ``Fraction`` when both are integers."""
-        if isinstance(self.alpha, numbers.Integral) and isinstance(self.beta, numbers.Integral):
-            return Fraction(self.beta, self.alpha)
-        return self.beta / self.alpha
+        return _exact_ratio(self.beta, self.alpha)
 
     @property
     def order(self) -> int:
@@ -84,39 +85,8 @@ def quantile_series(tail: TailModel, theta) -> QuantilePowerSeries:
     power -psi: C_i = c_0^psi * [ (1 + c_0*S(xstar))^{-psi} ]_i.
     """
     c0 = tail.c[0]
-    psi = theta / tail.alpha
+    psi = _exact_ratio(theta, tail.alpha)
     xstar = invert_series(tail.c, tail.a, 1)
     body = FormalSeries((0,) + xstar.coeffs[1:])
     chat = series_power(body, -psi, c0)
     return QuantilePowerSeries(theta, psi, tail.a, chat.scale(c0**psi))
-
-
-def quantile_from_known(d: FormalSeries, alpha, a, theta) -> QuantilePowerSeries:
-    """Rebase known theta=1 quantile coefficients d_i to an arbitrary power.
-
-    C_i = d_0^theta * [ (1 + S(d)/d_0)^theta ]_i, bypassing the tail model.
-    """
-    d0 = d[0]
-    if d0 == 0:
-        raise SingularInputError("known quantile series has zero leading coefficient")
-    body = FormalSeries((0,) + d.coeffs[1:])
-    chat = series_power(body, theta, 1 / (d0 * 1))
-    return QuantilePowerSeries(theta, theta / alpha, a, chat.scale(d0**theta))
-
-
-def eval_quantile_partial(q: QuantilePowerSeries, u: float):
-    """Partial sum of the quantile series at u, with a truncation indicator.
-
-    Returns (value, |last retained nonzero term|).
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    v = 1.0 - u
-    total = 0.0
-    last = 0.0
-    for i, ci in enumerate(q.C):
-        term = ci * v ** (i * q.a - q.psi)
-        total += term
-        if term != 0.0:
-            last = abs(term)
-    return total, last

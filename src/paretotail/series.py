@@ -2,8 +2,8 @@
 
 A series S = x_1 t + x_2 t^2 + ... + x_m t^m (the constant slot x_0 is
 carried but ignored by the transforms below) is the common currency for
-powers, logs and exponentials of series, and for the tail inversion built
-on top of them.
+powers and logs of series, and for the tail inversion built on top of
+them.
 
 Coefficients are plain Python scalars: float in the default build,
 ``fractions.Fraction`` or sympy expressions in the exact referee mode used
@@ -26,7 +26,6 @@ __all__ = [
     "binomial_coefficient",
     "series_power",
     "series_log",
-    "series_exp",
     "series_multiply",
     "series_general_power",
 ]
@@ -172,19 +171,6 @@ def series_log(x: FormalSeries, lam, table: BellTable | None = None) -> FormalSe
         for i in range(1, r + 1):
             acc = acc + table.value(r, i) * (-lam) ** i / i
         out.append(-acc)
-    return FormalSeries(out)
-
-
-def series_exp(x: FormalSeries, lam, table: BellTable | None = None) -> FormalSeries:
-    """exp(lam*S) as a series: coefficient r is sum_i B_{ri}(x) lam^i / i!."""
-    if table is None:
-        table = BellTable(x)
-    out = [1]
-    for r in range(1, x.order + 1):
-        acc = 0
-        for i in range(1, r + 1):
-            acc = acc + table.value(r, i) * lam**i / math.factorial(i)
-        out.append(acc)
     return FormalSeries(out)
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from paretotail.betamoments import (
     RankSpec,
     beta_ratio,
-    falling_general,
     gamma_ratio,
     gamma_ratio_coeffs,
     gamma_ratio_eval,
@@ -47,14 +46,6 @@ def test_gamma_ratio_cases():
     )
     with pytest.raises(InfiniteMomentError):
         gamma_ratio(1, -1)
-
-
-def test_falling_general():
-    assert falling_general(5, 2) == 20
-    assert falling_general(5, 0) == 1
-    assert falling_general(3.0, 1.5) == pytest.approx(
-        math.gamma(4.0) / math.gamma(2.5)
-    )
 
 
 def test_float_exponents_stay_float():

@@ -18,7 +18,7 @@ from paretotail.catalog import (
     tail_of,
     upper_quantile,
 )
-from paretotail.errors import CapabilityError, UnsupportedOrderError
+from paretotail.errors import CapabilityError, ParetoTailError, UnsupportedOrderError
 
 
 def survival_partial(tail, x, order):
@@ -55,6 +55,16 @@ def test_spec_validation():
         DistributionSpec("stable", (0.5, 0.5))
     with pytest.raises(ValueError):
         DistributionSpec("frechet", (-1.0,))
+    for params in ((math.inf,), (math.nan,)):
+        with pytest.raises(ValueError, match="finite"):
+            DistributionSpec("student_t", params)
+    with pytest.raises(ParetoTailError, match=r"student_t\(400\)"):
+        tail_of(parse_distribution("student_t(400)"), 0)
+    with pytest.raises(ParetoTailError, match=r"f_dist\(3,400\)"):
+        tail_of(parse_distribution("f_dist(3,400)"), 0)
+    # the largest t tail whose coefficients fit a float is unchanged
+    big = tail_of(parse_distribution("student_t(171)"), 2)
+    assert list(big.c) == [2.540648119592714e189, -3.693083169474512e193, 2.7157044880066033e197]
 
 
 def test_capability_flags():

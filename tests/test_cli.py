@@ -105,6 +105,16 @@ def test_usage_exit_codes():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec", ["student_t(inf)", "f_dist(3,inf)", "student_t(400)", "f_dist(3,400)"]
+)
+def test_non_finite_or_overflowing_parameters_are_usage_errors(spec, capsys):
+    code, _ = run_cli(["moments", "--dist", spec, "--s", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_mean_quad():
     code, out = run_cli(
         [

@@ -419,7 +419,9 @@ def test_float_tail_gives_float_displays():
 
 def test_exact_pipeline_needs_no_sympy():
     # a Fraction tail with integral moment exponents stays in Fraction
-    # arithmetic end to end; sympy is blocked in a fresh interpreter
+    # arithmetic end to end, also with int alpha, beta and theta (whose
+    # ratios are Fractions, not int / int floats); sympy is blocked in a
+    # fresh interpreter
     src = str(Path(paretotail.__file__).resolve().parents[1])
     code = (
         "import sys\n"
@@ -427,13 +429,16 @@ def test_exact_pipeline_needs_no_sympy():
         "sys.modules['sympy'] = None\n"
         "from fractions import Fraction\n"
         "from paretotail import FormalSeries, TailModel, MomentQuery, covariance_expansion, "
-        "gamma_ratio_coeffs, moment_expansion, third_cumulant_expansion\n"
+        "gamma_ratio_coeffs, moment_expansion, quantile_series, third_cumulant_expansion\n"
         "out = []\n"
-        "for beta in (1, 2):\n"
-        "    tail = TailModel(Fraction(1), Fraction(beta), FormalSeries("
+        "for one in (Fraction(1), 1):\n"
+        "  for beta in (1, 2):\n"
+        "    tail = TailModel(one, one * beta, FormalSeries("
         "[Fraction(6, 5), Fraction(-3, 10), Fraction(1, 20), Fraction(-1, 100)]))\n"
+        "    q = quantile_series(tail, one)\n"
+        "    out += [q.psi, q.a, *q.C]\n"
         "    for s in ((2,), (3, 1), (5, 3, 1)):\n"
-        "        e = moment_expansion(MomentQuery(tail, s, (Fraction(1),) * len(s)))\n"
+        "        e = moment_expansion(MomentQuery(tail, s, (one,) * len(s)))\n"
         "        out += [e.lead, e.a, e.remainder_order, *e.terms.values()]\n"
         "    cov = covariance_expansion(tail, 3, 1)\n"
         "    out += [cov.F0, cov.F1, cov.F2, cov.Ec, cov.B20, cov.Da, cov.a, cov.a0]\n"

@@ -229,9 +229,26 @@ def test_quad_refuses_complex_powers_on_two_sided_laws():
         quad_moment(parse_distribution("student_t(3)"), 50, 0, 2.5)
     with pytest.raises(CapabilityError):
         quad_joint_moment(parse_distribution("cauchy"), 50, 2, 1, 0.5, 1.0)
-    # integer powers and one-sided laws still integrate
+    # integer powers and one-sided laws still integrate, and so do tied
+    # fractional powers that sum to an integer: X^0.5 X^0.5 is X
     assert quad_moment(parse_distribution("student_t(3)"), 50, 0, 2.0).value > 0
     assert quad_moment(parse_distribution("frechet(2)"), 50, 0, 0.9).value > 0
+    cauchy = parse_distribution("cauchy")
+    tied = quad_joint_moment(cauchy, 50, 3, 3, 0.5, 0.5)
+    assert tied == quad_moment(cauchy, 50, 3, 1.0)
+
+
+def test_mc_shares_the_quadrature_guard():
+    # fractional powers of a two-sided law, depths outside the sample and
+    # increasing depths are refused before any draw
+    for law in ("student_t(3)", "cauchy"):
+        with pytest.raises(CapabilityError):
+            mc_top_order_stats(parse_distribution(law), 5, [((4,), (1.5,))], 10_000, 1)
+    for law in ("pareto", "cauchy"):
+        with pytest.raises(ValueError, match="depth s=5 too large for n=3"):
+            mc_top_order_stats(parse_distribution(law), 3, [((5,), (1.0,))], 10_000, 1)
+    with pytest.raises(ValueError, match="nonincreasing"):
+        mc_top_order_stats(parse_distribution("pareto"), 50, [((1, 3), (1.0, 1.0))], 10_000, 1)
 
 
 def test_mc_uniform_top_block():

@@ -5,12 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretotail.quantile import (
-    TailModel,
-    eval_quantile_partial,
-    quantile_from_known,
-    quantile_series,
-)
+from paretotail.quantile import TailModel, quantile_series
 from paretotail.series import FormalSeries, series_multiply
 
 tails = st.builds(
@@ -36,7 +31,7 @@ def test_pareto_quantile_is_exact():
     tail = TailModel(1.0, 1.0, FormalSeries([1.0, 0.0, 0.0]))
     q = quantile_series(tail, 1.0)
     assert list(q.C) == pytest.approx([1.0, 0.0, 0.0])
-    value, last = eval_quantile_partial(q, 0.9)
+    value = sum(ci * 0.1 ** q.exponent(i) for i, ci in enumerate(q.C))
     assert value == pytest.approx(10.0)
 
 
@@ -77,37 +72,13 @@ def test_power_consistency(tail, t1, t2):
         assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
 
 
-def test_rebase_identity_and_cross_path():
-    tail = TailModel(1.0, 2.0, FormalSeries([0.8, -0.1, 0.05, 0.02]))
-    d = quantile_series(tail, 1.0).C
-    rebased = quantile_from_known(d, tail.alpha, tail.a, 1.0)
-    assert list(rebased.C) == pytest.approx(list(d), rel=1e-12)
-    squared = quantile_from_known(d, tail.alpha, tail.a, 2.0)
-    direct = quantile_series(tail, 2.0)
-    for a, b in zip(squared.C, direct.C):
-        assert a == pytest.approx(b, rel=1e-10)
-
-
-def test_single_term_rebase():
-    q = quantile_from_known(FormalSeries([2.0, 0.0, 0.0]), 1.0, 1.0, 3.0)
-    assert list(q.C) == pytest.approx([8.0, 0.0, 0.0])
-
-
-def test_eval_partial_domain():
-    tail = TailModel(1.0, 1.0, FormalSeries([1.0, 0.0]))
-    q = quantile_series(tail, 1.0)
-    with pytest.raises(ValueError):
-        eval_quantile_partial(q, 1.0)
-    with pytest.raises(ValueError):
-        eval_quantile_partial(q, 0.0)
-
-
 def test_partial_sum_tracks_cot_quantile():
     # tail of 1/tan(pi v): alpha=1, beta=2, c_i = (-1)^i/((2i+1) pi)
     coeffs = [(-1.0) ** i / ((2 * i + 1) * math.pi) for i in range(7)]
     tail = TailModel(1.0, 2.0, FormalSeries(coeffs))
     q = quantile_series(tail, 1.0)
     for u in (0.99, 0.999):
-        value, last = eval_quantile_partial(q, u)
+        terms = [ci * (1.0 - u) ** q.exponent(i) for i, ci in enumerate(q.C)]
+        value, last = sum(terms), abs(terms[-1])
         true = 1.0 / math.tan(math.pi * (1.0 - u))
         assert abs(value - true) <= 2.0 * last + 1e-12
