@@ -28,13 +28,13 @@ from .catalog import (
 from .errors import InfiniteMomentError, ParetoTailError
 from .expansion import (
     MomentQuery,
-    covariance_expansion,
-    mean_expansion,
+    joint_cumulant_expansion,
     moment_expansion,
 )
 from .ledger import ledger_rows
 from .oracle import (
     _MC_MARGIN,
+    _quad,
     _require_moment,
     convergence_rate_probe,
     mc_top_order_stats,
@@ -212,38 +212,28 @@ def _require_mc_standard_error(dist: DistributionSpec, s, n_grid) -> None:
 
 def _verify_values(args, dist, s, n_grid):
     """(remainder order, rows of (n, expansion value, oracle value, oracle
-    floor)): the mean of X_{n,n-s} for one depth, the covariance for two,
-    with the oracle's moments over the depth blocks of the cumulant."""
+    floor)) for the joint cumulant of Y_{n,s_1}, ..., Y_{n,s_k}, k <= 3, cut
+    before its first omitted order, against the oracle's block moments."""
+    if len(s) > 3:
+        raise SystemExit(_usage_error("verify supports 1 to 3 depths in --s"))
     if args.oracle == "mc":
         _require_mc_standard_error(dist, s, n_grid)
     tail = tail_of(dist, max(args.jmax, 1))
-    if len(s) == 1:
-        exp = mean_expansion(tail, s[0], imax=args.imax, jmax=args.jmax)
-        # drop grid stragglers beyond the first omitted order so the fitted
-        # slope is comparable with the remainder tag
-        exp = exp.truncated(exp.remainder_order - 0.5)
-        remainder = exp.remainder_order
-
-        def expansion(n):
-            return exp.evaluate(n)[0]
-
-        blocks = [s]
-    elif len(s) == 2:
-        rep = covariance_expansion(tail, s[0], s[1])
-        remainder = 2.0 * rep.a0
-        expansion = rep.evaluate
-        blocks = [s, s[:1], s[1:]]
-    else:
-        raise SystemExit(_usage_error("verify supports 1 or 2 depths in --s"))
+    grid = joint_cumulant_expansion(tail, s, args.imax, args.jmax)
+    remainder = grid.remainder_order
+    # strictly below the remainder, whose own terms' float orders may round down
+    exp = grid.truncated(remainder - 1e-9)
+    # the 2^k - 1 depth blocks: the whole tuple, each depth, each pair
+    blocks = [s, s[:1], s[1:2], s[2:], s[:2], s[::2], s[1:]][: 2 ** len(s) - 1]
     rows = []
     for n in n_grid:
-        ev = expansion(n)
+        ev = exp.evaluate(n)[0]
         norm = _normalization(dist, n, 1.0) ** len(s)
         if args.oracle == "quad":
             res = [
-                quad_moment(dist, n, b[0], 1.0)
-                if len(b) == 1
-                else quad_joint_moment(dist, n, b[0], b[1], 1.0, 1.0)
+                quad_moment(dist, n, *b, 1.0) if len(b) == 1
+                else quad_joint_moment(dist, n, *b, 1.0, 1.0) if len(b) == 2
+                else _quad(dist, n, b, (1.0,) * 3, 1e-8)
                 for b in blocks
             ]
             floor = 1e-9 if len(s) == 1 else 1e-8
@@ -252,19 +242,26 @@ def _verify_values(args, dist, s, n_grid):
             res = mc_top_order_stats(dist, n, specs, args.reps, args.seed)
             floor = 4.0 * res[0].std_error / norm
         ov = res[0].value / norm
-        if len(res) == 3:
+        if len(s) == 2:
             ov -= res[1].value * res[2].value / norm
+        elif len(s) == 3:
+            m123, m1, m2, m3, m12, m13, m23 = (r.value for r in res)
+            ov = (m123 - m1 * m23 - m2 * m13 - m3 * m12 + 2.0 * m1 * m2 * m3) / norm
         rows.append((n, ev, ov, floor))
     return remainder, rows
 
 
 def _cmd_verify(args, out) -> int:
+    if min(args.n) < 1 or len(set(args.n)) < 3:
+        raise SystemExit(_usage_error(f"--n needs 3 distinct values >= 1, got {args.n}"))
     dist = parse_distribution(args.dist)
     remainder, rows = _verify_values(args, dist, tuple(args.s), args.n)
     diffs = [abs(ev - ov) for _, ev, ov, _ in rows]
     floor = max(max(fl for *_, fl in rows), 1e-12)
     fit = convergence_rate_probe(args.n, diffs, floor=floor)
-    ok = fit.saturated or abs(fit.slope - (-remainder)) <= VERIFY_SLOPE_TOL
+    # one-sided: a wrong coefficient below the first omitted order R would
+    # make the difference decay like n^-o with o < R, never faster
+    ok = fit.saturated or fit.slope <= -remainder + VERIFY_SLOPE_TOL
     slope_text = "saturated" if fit.saturated else repr(fit.slope)
     out_rows = [
         (n, repr(ev), repr(ov), repr(abs(ev - ov)), slope_text)

@@ -279,16 +279,18 @@ def quad_moment(
 
 
 def _quad(dist: DistributionSpec, n: int, s, theta, epsabs: float) -> OracleResult:
-    """E prod X_{n,n-s_i}^theta_i over one or two distinct depths: ties are
-    merged before the existence check (a two-sided law's X^0.5 X^0.5 is
+    """E prod X_{n,n-s_i}^theta_i over one to three distinct depths: ties
+    are merged before the existence check (a two-sided law's X^0.5 X^0.5 is
     X^1), then the Gauss-Jacobi rule runs, and adaptive quadrature when it
-    cannot confirm its accuracy."""
+    cannot confirm its accuracy; three depths have no adaptive fallback."""
     s, theta = merge_ties(s, theta)
     _require_moment(dist, n, s, theta)
     one_d = len(s) == 1
     res, nodes = _gauss_jacobi(
         dist, n, s, theta, epsabs, _EPSREL_1D if one_d else _EPSREL_2D
     )
+    if res is None and len(s) > 2:
+        raise ParetoTailError(f"no Gauss-Jacobi rule confirms {dist} at n={n}, s={s}")
     if res is None:
         adaptive = _adaptive_moment if one_d else _adaptive_joint_moment
         res = adaptive(dist, n, *s, *theta, epsabs)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from paretotail.betamoments import RankSpec, joint_beta_moment
 from paretotail.cli import DEFAULT_SEED, SCHEMA_VERSION, SEED_ENV_VAR, run
 from paretotail.ledger import LEDGER
 
@@ -101,7 +102,7 @@ def test_usage_exit_codes():
     assert code == 2
     code, _ = run_cli(["no-such-command"])
     assert code == 2
-    code, _ = run_cli(["verify", "--dist", "cauchy", "--s", "1,1,1", "--n", "5,9,13"])
+    code, _ = run_cli(["verify", "--dist", "cauchy", "--s", "4,3,2,1", "--n", "5,9,13"])
     assert code == 2
 
 
@@ -152,6 +153,95 @@ def test_verify_covariance_quad():
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
+
+
+def test_verify_keeps_the_first_grid_terms_of_a_small_gap():
+    # a = 2/9: the first omitted order is 2a = 0.444, below any fixed margin
+    code, out = run_cli(
+        ["verify", "--dist", "f_dist(4,9)", "--s", "1", "--n", "50,100,200", "--format", "json"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["expected_order"] == pytest.approx(-4 / 9)
+    assert all(float(row["expansion"]) != 0.0 for row in doc["rows"])
+
+
+@pytest.mark.parametrize(
+    "dist, s",
+    [
+        ("student_t(3)", "2"),
+        ("f_dist(2,6)", "2,1"),
+        ("cauchy", "2,1"),
+        ("cauchy", "3,1"),
+        ("cauchy", "5,3,1"),
+        ("frechet(1)", "5,3,1"),
+    ],
+)
+def test_verify_passes_differences_that_decay_faster(dist, s):
+    # correct expansions whose difference decays faster than the first
+    # omitted order predicts: the verdict is one-sided
+    code, out = run_cli(
+        ["verify", "--dist", dist, "--s", s, "--n", "50,100,200", "--format", "json"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True and not doc["saturated"]
+    assert doc["slope"] <= doc["expected_order"] + 0.5
+
+
+def test_verify_third_cumulant_oracle_is_exact_on_pareto():
+    # the Pareto block moments are beta ratios, so the k = 3 oracle column
+    # is the third cumulant of exact values, with Y = X / n^(1/alpha)
+    alpha, s = 3.0, (3, 2, 1)
+    code, out = run_cli(
+        ["verify", "--dist", "pareto(3)", "--s", "3,2,1", "--n", "20,40,80", "--format", "json"]
+    )
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        n = row["n"]
+
+        def m(*depths):
+            spec = RankSpec(n, tuple(n - d for d in depths))
+            return joint_beta_moment(spec, (-1 / alpha,) * len(depths)) / n ** (len(depths) / alpha)
+
+        m1, m2, m3 = m(s[0]), m(s[1]), m(s[2])
+        kappa = m(*s) - m1 * m(s[1], s[2]) - m2 * m(s[0], s[2]) - m3 * m(s[0], s[1]) + 2 * m1 * m2 * m3
+        assert float(row["oracle"]) == pytest.approx(kappa, rel=1e-9)
+
+
+def test_verify_jmax_moves_the_remainder():
+    # student_t(4) has a = 1/2: the first omitted order is (jmax + 1) a
+    orders = []
+    for jmax in ("1", "2"):
+        argv = ["verify", "--dist", "student_t(4)", "--s", "3,1", "--n", "50,100,200"]
+        code, out = run_cli(argv + ["--jmax", jmax, "--format", "json"])
+        assert code == 0
+        orders.append(json.loads(out)["expected_order"])
+    assert orders == [pytest.approx(-1.0), pytest.approx(-1.5)]
+
+
+def test_verify_three_depths_without_a_confirmed_rule_is_an_error(capsys):
+    argv = ["verify", "--dist", "student_t(31)", "--s", "3,2,1", "--n", "100,200,400"]
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: no Gauss-Jacobi rule") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "s, n_grid", [("2,1", "0,10,20"), ("1", "50,50,50"), ("1", "50,100")]
+)
+def test_verify_refuses_a_bad_n_grid_before_any_oracle_work(s, n_grid, monkeypatch):
+    import paretotail.cli as cli
+
+    def no_oracle_work(*args):
+        raise AssertionError("the grid reached the oracles")
+
+    monkeypatch.setattr(cli, "_verify_values", no_oracle_work)
+    code, out = run_cli(["verify", "--dist", "cauchy", "--s", s, "--n", n_grid])
+    assert code == 2
+    assert out == ""
 
 
 def test_verify_mc_path():

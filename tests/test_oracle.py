@@ -182,6 +182,13 @@ def test_gauss_jacobi_three_depths():
     assert tied.value == pytest.approx(want, rel=1e-12)
 
 
+def test_quad_three_depths_have_no_adaptive_fallback():
+    # student_t(31) has gap 2/31: no rung confirms three depths at n = 100,
+    # and the adaptive fallback integrates one or two
+    with pytest.raises(ParetoTailError, match="no Gauss-Jacobi rule"):
+        oracle._quad(parse_distribution("student_t(31)"), 100, (3, 2, 1), (1.0, 1.0, 1.0), 1e-8)
+
+
 def test_quad_refuses_lower_tail_infinite_moments():
     # the lowest of the order statistics needs (n - s) alpha above the
     # powers at or above its depth: here n - s = 1 draw against theta 1
