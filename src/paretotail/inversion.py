@@ -1,9 +1,10 @@
 """Series reversion on a stretched exponent grid.
 
 Given the forward relation v/u = sum_i x_i u^{i*a} with x_0 != 0, produce
-the coefficients of (u/v)^k = sum_i xstar_i v^{i*a}.  This is a Lagrange
-reversion in which every series lives on the grid of powers of u^a or v^a,
-so coefficients can be indexed by the integer i throughout.
+the coefficients of (u/v)^k = sum_i xstar_i v^{i*a} for any real power k.
+This is a Lagrange-Bürmann reversion in which every series lives on the
+grid of powers of u^a or v^a, so coefficients can be indexed by the integer
+i throughout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .series import BellTable, FormalSeries
 __all__ = ["invert_series"]
 
 
-def invert_series(x: FormalSeries, a, k: int) -> FormalSeries:
+def invert_series(x: FormalSeries, a, k) -> FormalSeries:
     """Coefficients xstar_0 .. xstar_m of (u/v)^k as a series in v^a.
 
     For each index i, with n = k + a*i,
@@ -25,12 +26,12 @@ def invert_series(x: FormalSeries, a, k: int) -> FormalSeries:
                   * (-x_0)^{-j} / j!
 
     and xstar_0 = x_0^{-k}.  The j = 0 term of the defining sum contributes
-    only at i = 0.
+    only at i = 0.  The Lagrange-Bürmann formula (Comtet, Advanced
+    Combinatorics, 1974, sec. 3.8) holds for every real k, k = 0 and n = 0
+    included, from one table of Bell polynomial values.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if isinstance(a, float) and not math.isfinite(a):
-        raise ValueError("exponent gap a must be finite")
+    if any(isinstance(y, float) and not math.isfinite(y) for y in (a, k)):
+        raise ValueError(f"exponent gap a and power k must be finite, got a={a}, k={k}")
     x0 = x[0]
     if x0 == 0:
         raise SingularInputError("forward series has zero constant term")

@@ -7,8 +7,8 @@ top block of uniforms directly through exponential spacings (for a law with
 a sampler but no quantile, its own top block, through one sampler per call).
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
-absorb the density's endpoint singularities exactly, with nodes from the
-Golub-Welsch construction (Golub & Welsch, Math. Comp. 23, 1969), and fall
+absorb the density's endpoint singularities exactly, with nodes and weights
+from ``scipy.special.roots_jacobi`` (weights rescaled to sum to 1), and fall
 back to nested adaptive ``quad`` when two rules of the node ladder do not
 agree or a rule comes out non-finite.
 """

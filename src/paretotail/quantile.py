@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .inversion import invert_series
-from .series import FormalSeries, series_power
+from .series import FormalSeries
 
 __all__ = [
     "TailModel",
@@ -81,12 +81,10 @@ class QuantilePowerSeries:
 def quantile_series(tail: TailModel, theta) -> QuantilePowerSeries:
     """Quantile power series for {F^{-1}(u)}^theta built from a tail model.
 
-    Reverts the tail series at k = 1, then raises the reverted series to the
-    power -psi: C_i = c_0^psi * [ (1 + c_0*S(xstar))^{-psi} ]_i.
+    With v = 1-u, x = F^{-1}(u) and w = x^{-alpha}, the tail reads
+    v/w = sum_i c_i w^{i*a}, so x^theta = w^{-psi} = (w/v)^{-psi} v^{-psi}
+    and C_i = [v^{ia}] (w/v)^{-psi}: one reversion straight to the power
+    -psi, from one table of Bell polynomial values.
     """
-    c0 = tail.c[0]
     psi = _exact_ratio(theta, tail.alpha)
-    xstar = invert_series(tail.c, tail.a, 1)
-    body = FormalSeries((0,) + xstar.coeffs[1:])
-    chat = series_power(body, -psi, c0)
-    return QuantilePowerSeries(theta, psi, tail.a, chat.scale(c0**psi))
+    return QuantilePowerSeries(theta, psi, tail.a, invert_series(tail.c, tail.a, -psi))

@@ -75,7 +75,28 @@ def test_rejects_singular_and_bad_k():
     with pytest.raises(SingularInputError):
         invert_series(FormalSeries([0, 1]), 1.0, 1)
     with pytest.raises(ValueError):
-        invert_series(FormalSeries([1.0, 1.0]), 1.0, 0)
+        invert_series(FormalSeries([1.0, 1.0]), 1.0, float("nan"))
+    # k = 0 is the theta = 0 quantile: (u/v)^0 = 1
+    assert list(invert_series(FormalSeries([2.0, 1.0]), 1.0, 0)) == [1.0, 0.0]
+
+
+RATIONAL_X = FormalSeries(
+    [Fraction(3, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7), Fraction(-3, 11), Fraction(2, 9)]
+)
+
+
+@pytest.mark.parametrize("k", [-2, -1, 2, 3])
+def test_integer_power_matches_power_of_reversion(k):
+    x, a = RATIONAL_X, Fraction(2)
+    # a Fraction power keeps the binomials of series_general_power exact
+    assert invert_series(x, a, k) == series_general_power(invert_series(x, a, 1), Fraction(k))
+
+
+def test_real_power_matches_power_of_reversion():
+    x, a = RATIONAL_X, Fraction(2)
+    got = invert_series(x, a, 0.7)
+    want = series_general_power(invert_series(x, a, 1), 0.7)
+    assert list(got) == pytest.approx(list(want), rel=1e-12, abs=0)
 
 
 @given(

@@ -1,12 +1,17 @@
 """Quantile power series built from tail models."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from paretotail.catalog import parse_distribution, tail_of
+from paretotail.inversion import invert_series
 from paretotail.quantile import TailModel, quantile_series
-from paretotail.series import FormalSeries, series_multiply
+from paretotail.series import FormalSeries, series_multiply, series_power
 
 tails = st.builds(
     TailModel,
@@ -82,3 +87,48 @@ def test_partial_sum_tracks_cot_quantile():
         value, last = sum(terms), abs(terms[-1])
         true = 1.0 / math.tan(math.pi * (1.0 - u))
         assert abs(value - true) <= 2.0 * last + 1e-12
+
+
+def _two_step_quantile(tail, theta):
+    """Revert at k = 1, then raise (1 + c_0 S(xstar))^(-psi) and scale by c_0^psi."""
+    c0, psi = tail.c[0], theta / tail.alpha
+    xstar = invert_series(tail.c, tail.a, 1)
+    body = FormalSeries((0,) + xstar.coeffs[1:])
+    return series_power(body, -psi, c0).scale(c0**psi)
+
+
+def _rational_tail(beta, order, seed):
+    rng = random.Random(seed)
+    c = [Fraction(rng.randint(60, 140), 100)]
+    c += [Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 10 ** (i + 1)) for i in range(1, order + 1)]
+    return TailModel(Fraction(1), Fraction(beta), FormalSeries(c))
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        _rational_tail(1, 10, 1),
+        _rational_tail(2, 12, 2),
+        TailModel(Fraction(1), Fraction(2), FormalSeries([Fraction((-1) ** i, 2 * i + 1) for i in range(13)])),
+    ],
+    ids=["beta1", "beta2", "cauchy_shape"],
+)
+@pytest.mark.parametrize("theta", [-2, -1, 1, 2])
+def test_exact_one_pass_matches_two_step_route(tail, theta):
+    q = quantile_series(tail, Fraction(theta))
+    old = _two_step_quantile(tail, Fraction(theta))
+    assert q.C == old
+    assert all(type(c) is Fraction for c in q.C)
+
+
+def test_float_cauchy_order_12_against_bernoulli():
+    # C_i of cot(pi v) = (-1)^i 2^(2i) B_2i pi^(2i-1) / (2i)!; theta = 2 squares it
+    one = [
+        (-1) ** i * 2 ** (2 * i) * sp.bernoulli(2 * i) * sp.pi ** (2 * i - 1) / sp.factorial(2 * i)
+        for i in range(13)
+    ]
+    two = sum(one[j] * one[12 - j] for j in range(13))
+    tail = tail_of(parse_distribution("cauchy"), 12)
+    for theta, want, bound in ((1.0, one[12], 0.2), (2.0, two, 0.02)):
+        got = quantile_series(tail, theta).C[12]
+        assert abs(got / float(want) - 1) < bound
