@@ -59,7 +59,6 @@ from .catalog import (
     CATALOG_NAMES,
     DistributionSpec,
     cdf,
-    exact_quantile,
     make_rng,
     parse_distribution,
     sample,
@@ -113,7 +112,6 @@ __all__ = [
     "DistributionSpec",
     "parse_distribution",
     "tail_of",
-    "exact_quantile",
     "upper_quantile",
     "cdf",
     "sample",

@@ -1,6 +1,7 @@
 """Catalog of heavy-tailed distributions with tail models and samplers.
 
-Each entry knows its Pareto-type tail coefficients; where a closed-form or
+Each law's example spec and parameter contract are one row of ``_LAWS``.
+Each law knows its Pareto-type tail coefficients; where a closed-form or
 numerically invertible CDF exists it also exposes quantiles and an exact
 sampler.  Capability flags are honest: the general stable law carries
 coefficients only, and only the one-sided positive case gets a sampler.
@@ -20,7 +21,6 @@ __all__ = [
     "DistributionSpec",
     "parse_distribution",
     "tail_of",
-    "exact_quantile",
     "upper_quantile",
     "cdf",
     "sample",
@@ -29,7 +29,42 @@ __all__ = [
     "CATALOG_NAMES",
 ]
 
-CATALOG_NAMES = ("pareto", "cauchy", "student_t", "f_dist", "stable", "frechet")
+
+def _integers(p) -> bool:
+    return all(x == int(x) for x in p)
+
+
+# name: (example spec, parameter contract, check on the finite parameters);
+# stable needs gamma < alpha, since gamma = alpha leaves no upper Pareto tail
+_LAWS = {
+    "pareto": (
+        "pareto(1)",
+        "at most one parameter alpha > 0",
+        lambda p: len(p) <= 1 and all(x > 0 for x in p),
+    ),
+    "cauchy": ("cauchy", "no parameters", lambda p: not p),
+    "student_t": (
+        "student_t(3)",
+        "one integer parameter N >= 1",
+        lambda p: len(p) == 1 and p[0] >= 1 and _integers(p),
+    ),
+    "f_dist": (
+        "f_dist(2,6)",
+        "integer parameters (M >= 1, N > 2)",
+        lambda p: len(p) == 2 and p[0] >= 1 and p[1] > 2 and _integers(p),
+    ),
+    "stable": (
+        "stable(0.5,-0.5)",
+        "parameters (alpha, gamma) with 0 < alpha < 1, -alpha <= gamma < alpha",
+        lambda p: len(p) == 2 and 0 < p[0] < 1 and -p[0] <= p[1] < p[0],
+    ),
+    "frechet": (
+        "frechet(1)",
+        "one parameter alpha > 0",
+        lambda p: len(p) == 1 and p[0] > 0,
+    ),
+}
+CATALOG_NAMES = tuple(_LAWS)
 MAX_TAIL_ORDER = 12
 # sample_top's table of Kanter's function: bins over [0, pi), the relative
 # slack on each bound, and the least power in A that keeps full precision
@@ -68,37 +103,9 @@ class DistributionSpec:
         p = self.params
         if not all(math.isfinite(x) for x in p):
             raise ValueError(f"{self.name} needs finite parameters, got {p}")
-        if self.name == "pareto":
-            if len(p) > 1:
-                raise ValueError("pareto takes at most one parameter (alpha)")
-            if p and not p[0] > 0:
-                raise ValueError(f"pareto needs alpha > 0, got {p[0]}")
-        elif self.name == "cauchy":
-            if p:
-                raise ValueError("cauchy takes no parameters")
-        elif self.name == "student_t":
-            if len(p) != 1 or p[0] < 1 or p[0] != int(p[0]):
-                raise ValueError("student_t needs one integer parameter N >= 1")
-        elif self.name == "f_dist":
-            if len(p) != 2 or p[0] < 1 or p[1] <= 2:
-                raise ValueError("f_dist needs parameters (M >= 1, N > 2)")
-            if p[0] != int(p[0]) or p[1] != int(p[1]):
-                raise ValueError("f_dist degrees of freedom must be integers")
-        elif self.name == "stable":
-            if len(p) != 2:
-                raise ValueError("stable needs parameters (alpha, gamma)")
-            alpha, gamma = p
-            if not 0 < alpha < 1:
-                raise ValueError(f"stable needs 0 < alpha < 1, got {alpha}")
-            if abs(gamma) > alpha:
-                raise ValueError(f"stable needs |gamma| <= alpha, got {gamma}")
-            if gamma >= alpha:
-                raise ValueError(
-                    "stable with gamma = alpha has no upper Pareto tail"
-                )
-        elif self.name == "frechet":
-            if len(p) != 1 or not p[0] > 0:
-                raise ValueError("frechet needs one parameter alpha > 0")
+        _, contract, check = _LAWS[self.name]
+        if not check(p):
+            raise ValueError(f"{self.name} needs {contract}, got {p}")
 
     @property
     def has_exact_quantile(self) -> bool:
@@ -262,13 +269,6 @@ def _t_deep_tail(N: int, v):
             return 1.0 / np.tan(np.pi * v)
         w = special.betaincinv(N / 2, 0.5, 2.0 * v)
         return np.sqrt(N * (1.0 / w - 1.0))
-
-
-def exact_quantile(dist: DistributionSpec, u: float) -> float:
-    """F^{-1}(u) for u in (0, 1)."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    return float(upper_quantile(dist, 1.0 - u))
 
 
 def cdf(dist: DistributionSpec, x: float) -> float:

@@ -19,12 +19,7 @@ import json
 import os
 import sys
 
-from .catalog import (
-    CATALOG_NAMES,
-    DistributionSpec,
-    parse_distribution,
-    tail_of,
-)
+from .catalog import _LAWS, DistributionSpec, parse_distribution, tail_of
 from .errors import InfiniteMomentError, ParetoTailError
 from .expansion import (
     MomentQuery,
@@ -298,21 +293,13 @@ def _cmd_typos(args, out) -> int:
 
 
 def _cmd_list(args, out) -> int:
-    examples = {
-        "pareto": "pareto(1)",
-        "cauchy": "cauchy",
-        "student_t": "student_t(3)",
-        "f_dist": "f_dist(2,6)",
-        "stable": "stable(0.5,-0.5)",
-        "frechet": "frechet(1)",
-    }
     rows = []
-    for name in CATALOG_NAMES:
-        d = parse_distribution(examples[name])
+    for name, (example, _, _) in _LAWS.items():
+        d = parse_distribution(example)
         rows.append(
             (
                 name,
-                examples[name],
+                example,
                 int(d.has_exact_quantile),
                 int(d.has_numeric_quantile),
                 int(d.has_sampler),

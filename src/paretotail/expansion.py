@@ -274,7 +274,8 @@ def normalized_moment_expansion(query: MomentQuery) -> ExpansionSeries:
 
 def dm_coeffs(query: MomentQuery, M: int, N: int, mmax: int) -> list:
     """Regrouped coefficients d_m of the single-index expansion in n^{-1/N}
-    when a = M/N in lowest terms: d_m = sum{e_i(ja - psibar_1) C_j : iN + jM = m}."""
+    when a = M/N in lowest terms: d_m sums the terms e_i(ja - psibar_1) C_j
+    of the (i, j) grid with iN + jM = m."""
     if M < 1 or N < 1 or math.gcd(M, N) != 1:
         raise ValueError(f"need a = M/N in lowest terms, got M={M}, N={N}")
     a = query.tail.a
@@ -284,25 +285,11 @@ def dm_coeffs(query: MomentQuery, M: int, N: int, mmax: int) -> list:
         raise UnsupportedOrderError(
             f"mmax={mmax} exceeds N*imax = {N * query.imax}"
         )
-    tables = _quantile_tables(query)
-    psibar1 = query.psibar1
-    cjs = {}
-    es = {}
-    out = []
-    for m in range(mmax + 1):
-        acc = 0
-        for j in range(min(m // M, query.jmax) + 1):
-            rem = m - j * M
-            if rem % N:
-                continue
-            i = rem // N
-            if i > query.imax:
-                continue
-            if j not in cjs:
-                cjs[j] = cj_coeff(query, j, tables)
-                es[j] = gamma_ratio_coeffs(j * a - psibar1, query.imax)
-            acc = acc + es[j][i] * cjs[j]
-        out.append(acc)
+    out = [0] * (mmax + 1)
+    for (i, j), c in moment_expansion(query).terms.items():
+        m = i * N + j * M
+        if m <= mmax:
+            out[m] = out[m] + c
     return out
 
 

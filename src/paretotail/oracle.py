@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .betamoments import merge_ties, require_finite, suffix_sums
 from .catalog import (
@@ -165,16 +166,6 @@ def _finite(value: float, dist: DistributionSpec, n: int, s, theta) -> float:
     return value
 
 
-def _gap_denominator(dist: DistributionSpec) -> int:
-    """q in the law's tail gap a = beta/alpha = p/q in lowest terms, from its
-    integer parameters: Student t and F have a = 2/N (see ``tail_of``), the
-    other laws with a quantile an integer a."""
-    if dist.name in ("student_t", "f_dist"):
-        N = int(dist.params[-1])
-        return N // math.gcd(2, N)
-    return 1
-
-
 def _log_beta(x: float, y: float) -> float:
     return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
@@ -243,9 +234,10 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
     if _roots_jacobi is None:
         _load_roots_jacobi()
     depths, powers = merge_ties(s, theta)
-    alpha = tail_of(dist, 0).alpha
-    psi = [t / alpha for t in powers]
-    q = _gap_denominator(dist)
+    tail = tail_of(dist, 0)
+    psi = [t / tail.alpha for t in powers]
+    # q in the gap beta/alpha = p/q in lowest terms; Fraction takes a float exactly
+    q = (Fraction(tail.beta) / Fraction(tail.alpha)).denominator
     nodes = 0
 
     def rule(m):

@@ -10,7 +10,6 @@ from paretotail.catalog import (
     CATALOG_NAMES,
     DistributionSpec,
     cdf,
-    exact_quantile,
     make_rng,
     parse_distribution,
     sample,
@@ -43,18 +42,33 @@ def test_parse_distribution():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        DistributionSpec("cauchy", (1.0,))
-    with pytest.raises(ValueError):
-        DistributionSpec("student_t", (0.5,))
-    with pytest.raises(ValueError):
-        DistributionSpec("f_dist", (3.0, 2.0))
-    with pytest.raises(ValueError):
-        DistributionSpec("stable", (1.5, 0.5))
-    with pytest.raises(ValueError):
-        DistributionSpec("stable", (0.5, 0.5))
-    with pytest.raises(ValueError):
-        DistributionSpec("frechet", (-1.0,))
+    # accepted and rejected tuples per law, at the contract's edges
+    accepted = {
+        "pareto": [(), (0.25,)],
+        "cauchy": [()],
+        "student_t": [(1.0,)],
+        "f_dist": [(1.0, 3.0)],
+        "stable": [(0.5, -0.5), (0.5, 0.4999)],
+        "frechet": [(0.25,)],
+    }
+    rejected = {
+        "pareto": [(1.0, 2.0), (0.0,)],
+        "cauchy": [(1.0,)],
+        "student_t": [(1.5,), (0.5,), ()],
+        "f_dist": [(1.0, 2.0), (3.0, 2.0), (1.5, 6.0), (0.0, 6.0), (2.0,)],
+        "stable": [(0.5, 0.5), (0.5, -0.5001), (1.5, 0.5), (0.0, 0.0), (0.5,)],
+        "frechet": [(0.0,), (-1.0,), ()],
+    }
+    assert set(accepted) == set(rejected) == set(CATALOG_NAMES)
+    for name in CATALOG_NAMES:
+        for params in accepted[name]:
+            assert DistributionSpec(name, params).params == params
+        for params in rejected[name]:
+            with pytest.raises(ValueError, match=rf"^{name} needs .*, got "):
+                DistributionSpec(name, params)
+    expected = r"f_dist needs integer parameters \(M >= 1, N > 2\), got \(1\.5, 6\.0\)"
+    with pytest.raises(ValueError, match=expected):
+        DistributionSpec("f_dist", (1.5, 6.0))
     for params in ((math.inf,), (math.nan,)):
         with pytest.raises(ValueError, match="finite"):
             DistributionSpec("student_t", params)
@@ -341,9 +355,7 @@ def test_inverse_cdf_samplers_match_cdf():
         dist = parse_distribution(text)
         draws = np.asarray(sample(dist, make_rng(rng_seed), 100_000))
         for q in (0.25, 0.75, 0.95):
-            x = exact_quantile(dist, q) if dist.has_exact_quantile else float(
-                upper_quantile(dist, 1 - q)
-            )
+            x = float(upper_quantile(dist, 1 - q))
             got = float(np.mean(draws <= x))
             assert got == pytest.approx(q, abs=4 / math.sqrt(len(draws))), text
 
@@ -352,10 +364,8 @@ def test_quantile_cdf_roundtrip():
     for text in ("pareto(1.5)", "cauchy", "frechet(2)", "f_dist(3,5)"):
         dist = parse_distribution(text)
         for u in (0.3, 0.9, 0.999):
-            x = exact_quantile(dist, u)
+            x = float(upper_quantile(dist, 1 - u))
             assert cdf(dist, x) == pytest.approx(u, rel=1e-9)
-    with pytest.raises(ValueError):
-        exact_quantile(parse_distribution("cauchy"), 1.0)
 
 
 def test_make_rng_streams():

@@ -347,10 +347,14 @@ def test_list_distributions():
         "numeric_quantile",
         "sampler",
     ]
-    by_name = {r[0]: r for r in rows}
-    assert by_name["stable"][2:] == ["0", "0", "1"]
-    assert by_name["cauchy"][2:] == ["1", "1", "1"]
-    assert by_name["f_dist"][2:] == ["0", "1", "1"]
+    assert rows == [
+        ["pareto", "pareto(1)", "1", "1", "1"],
+        ["cauchy", "cauchy", "1", "1", "1"],
+        ["student_t", "student_t(3)", "0", "1", "1"],
+        ["f_dist", "f_dist(2,6)", "0", "1", "1"],
+        ["stable", "stable(0.5,-0.5)", "0", "0", "1"],
+        ["frechet", "frechet(1)", "1", "1", "1"],
+    ]
 
 
 def test_output_determinism():
