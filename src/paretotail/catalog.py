@@ -101,7 +101,11 @@ class DistributionSpec:
         if self.name not in CATALOG_NAMES:
             raise ValueError(f"unknown distribution {self.name!r}")
         p = self.params
-        if not all(math.isfinite(x) for x in p):
+        try:
+            finite = all(math.isfinite(x) for x in p)
+        except TypeError:
+            raise ValueError(f"{self.name} needs real parameters, got {p}") from None
+        if not finite:
             raise ValueError(f"{self.name} needs finite parameters, got {p}")
         _, contract, check = _LAWS[self.name]
         if not check(p):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -56,6 +57,17 @@ def _float_list(text: str):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, its ``verify --seed`` default read from
+    ``PARETOTAIL_SEED`` at this call, so a change to the environment holds
+    from the next call on."""
+    top, p_ver = _parsers()
+    p_ver.set_defaults(seed=int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)))
+    return top
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers():
+    """(top-level parser, its ``verify`` subparser), built once per process."""
     top = argparse.ArgumentParser(
         prog="paretotail",
         description="Tail-expansion quantiles and top order statistic moments.",
@@ -90,11 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=_int_list, required=True)
     p_ver.add_argument("--oracle", choices=("quad", "mc"), default="quad")
     p_ver.add_argument("--reps", type=int, default=1_000_000)
-    p_ver.add_argument(
-        "--seed",
-        type=int,
-        default=int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)),
-    )
+    p_ver.add_argument("--seed", type=int)
     p_ver.add_argument("--imax", type=int, default=2)
     p_ver.add_argument("--jmax", type=int, default=1)
     add_format(p_ver)
@@ -104,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lst = sub.add_parser("list-distributions", help="catalog and capabilities")
     add_format(p_lst)
-    return top
+    return top, p_ver
 
 
 def _emit(args, payload: dict, columns, rows, out) -> None:

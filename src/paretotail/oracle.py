@@ -10,11 +10,14 @@ The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
 absorb the density's endpoint singularities exactly, with nodes and weights
 from ``scipy.special.roots_jacobi`` (weights rescaled to sum to 1), and fall
 back to nested adaptive ``quad`` when two rules of the node ladder do not
-agree or a rule comes out non-finite.
+agree or a rule comes out non-finite.  A rule depends only on its size and
+exponents, never on the law, so each (m, a, b, q) is built once per process
+and shared, read-only, by every law and block that asks for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -46,6 +49,8 @@ _GJ_LADDER = ((16, 24), (32, 48))
 # relative tolerances of the 1-D and 2-D oracles, adaptive or Gauss-Jacobi
 _EPSREL_1D = 1e-11
 _EPSREL_2D = 1e-9
+# Gauss-Jacobi rules kept per process, about 1 kB each
+_JACOBI_CACHE_SIZE = 1024
 
 # numpy, scipy.integrate.quad and scipy.special.roots_jacobi are bound on
 # the first call that needs them, so that importing the oracles loads none.
@@ -170,9 +175,11 @@ def _log_beta(x: float, y: float) -> float:
     return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
 
+@functools.lru_cache(maxsize=_JACOBI_CACHE_SIZE)
 def _jacobi_coordinate(m: int, a: float, b: float, q: int):
     """Nodes x, weights w and log scale c of an m-node rule
-    ``int_0^1 x^b (1-x)^a f(x) dx ~ exp(c) sum w f(x)``.
+    ``int_0^1 x^b (1-x)^a f(x) dx ~ exp(c) sum w f(x)``; x and w are
+    read-only, since every caller with the same arguments shares them.
 
     For q > 1 the rule runs in u = x^(1/q), where f is smooth when it is a
     series in x^(p/q): the weight becomes q u^bu (1-u^q)^a, bu = q(b+1) - 1.
@@ -182,7 +189,7 @@ def _jacobi_coordinate(m: int, a: float, b: float, q: int):
     """
     if q == 1:
         xi, w = _roots_jacobi(m, a, b)
-        return (1.0 + xi) / 2.0, w / w.sum(), _log_beta(b + 1.0, a + 1.0)
+        return _frozen((1.0 + xi) / 2.0, w / w.sum(), _log_beta(b + 1.0, a + 1.0))
     bu = q * (b + 1.0) - 1.0
     peak = bu if bu > 0 else 1.0  # for bu <= 0 the weight has no interior peak
     u_star = (peak / (q * a + peak)) ** (1.0 / q)
@@ -192,7 +199,13 @@ def _jacobi_coordinate(m: int, a: float, b: float, q: int):
     log_ratio = a * np.log1p(-(u**q)) - a_j * np.log1p(-u)
     top = log_ratio.max()
     w = w / w.sum() * np.exp(log_ratio - top)
-    return u**q, w, math.log(q) + _log_beta(bu + 1.0, a_j + 1.0) + top
+    return _frozen(u**q, w, math.log(q) + _log_beta(bu + 1.0, a_j + 1.0) + top)
+
+
+def _frozen(x, w, log_c):
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w, log_c
 
 
 def _gauss_jacobi_rule(dist, n, s, theta, psi, q, m) -> float:
@@ -426,7 +439,12 @@ def _top_blocks(dist, n, smax, reps, seed, batches):
     if dist.has_numeric_quantile:
 
         def block(rng):
-            tops = np.cumsum(rng.exponential(1.0, (bsize, smax + 1)), axis=1)
+            # the running sum of the spacings: the same additions as
+            # np.cumsum(axis=1), as smax column adds instead of a short
+            # loop per row
+            tops = rng.exponential(1.0, (bsize, smax + 1))
+            for c in range(1, smax + 1):
+                tops[:, c] += tops[:, c - 1]
             total = rng.gamma(n - smax, 1.0, bsize) + tops[:, -1]
             return upper_quantile(dist, tops / total[:, None])
 

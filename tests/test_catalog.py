@@ -72,6 +72,9 @@ def test_spec_validation():
     for params in ((math.inf,), (math.nan,)):
         with pytest.raises(ValueError, match="finite"):
             DistributionSpec("student_t", params)
+    for params in (("2",), (None,), (1 + 2j,)):
+        with pytest.raises(ValueError, match=r"^pareto needs real parameters, got "):
+            DistributionSpec("pareto", params)
     with pytest.raises(ParetoTailError, match=r"student_t\(400\)"):
         tail_of(parse_distribution("student_t(400)"), 0)
     with pytest.raises(ParetoTailError, match=r"f_dist\(3,400\)"):

@@ -321,6 +321,26 @@ def test_seed_env_var(monkeypatch):
     assert args.seed == DEFAULT_SEED
 
 
+def test_run_reads_the_seed_env_var_on_every_call(monkeypatch):
+    # run keeps one parser per process, and each call still takes its
+    # default seed from the environment as it is at that call
+    import paretotail.cli as cli
+
+    assert cli._build_parser() is cli._build_parser()
+    seeds = []
+    monkeypatch.setitem(
+        cli._HANDLERS, "verify", lambda args, out: seeds.append(args.seed) or 0
+    )
+    argv = ["verify", "--dist", "pareto", "--s", "1", "--n", "10,20,40"]
+    for seed in ("11", "7"):
+        monkeypatch.setenv(SEED_ENV_VAR, seed)
+        assert run_cli(argv)[0] == 0
+    monkeypatch.delenv(SEED_ENV_VAR)
+    assert run_cli(argv)[0] == 0
+    assert run_cli(argv + ["--seed", "5"])[0] == 0
+    assert seeds == [11, 7, DEFAULT_SEED, 5]
+
+
 def test_typos_schema():
     code, out = run_cli(["typos"])
     assert code == 0

@@ -189,6 +189,42 @@ def test_quad_three_depths_have_no_adaptive_fallback():
         oracle._quad(parse_distribution("student_t(31)"), 100, (3, 2, 1), (1.0, 1.0, 1.0), 1e-8)
 
 
+def _outcome(call):
+    try:
+        return call()
+    except ParetoTailError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("law", ("student_t(3)", "f_dist(2,6)", "cauchy", "frechet(1)"))
+def test_quad_cached_rules_give_the_cold_results(law):
+    # every rule comes out of the per-process cache: a call on a cold cache
+    # and the same call again on the warm one agree in every field
+    dist = parse_distribution(law)
+    for n in (5, 50, 200):
+        for call in (
+            lambda: quad_moment(dist, n, 1, 1.0),
+            lambda: quad_joint_moment(dist, n, 2, 1, 1.0, 1.0),
+            lambda: oracle._quad(dist, n, (3, 2, 1), (1.0, 1.0, 1.0), 1e-8),
+        ):
+            oracle._jacobi_coordinate.cache_clear()
+            cold = _outcome(call)
+            assert oracle._jacobi_coordinate.cache_info().currsize > 0
+            assert _outcome(call) == cold
+
+
+def test_cached_jacobi_rules_are_read_only_and_bounded():
+    quad_moment(parse_distribution("cauchy"), 50, 1, 1.0)  # loads numpy and scipy
+    for q in (1, 3):
+        rule = oracle._jacobi_coordinate(16, 49, 0.5, q)
+        assert oracle._jacobi_coordinate(16, 49, 0.5, q) is rule
+        x, w, _ = rule
+        for arr in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+    assert oracle._jacobi_coordinate.cache_info().maxsize is not None
+
+
 def test_quad_refuses_lower_tail_infinite_moments():
     # the lowest of the order statistics needs (n - s) alpha above the
     # powers at or above its depth: here n - s = 1 draw against theta 1
