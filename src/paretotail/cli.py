@@ -61,7 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ``PARETOTAIL_SEED`` at this call, so a change to the environment holds
     from the next call on."""
     top, p_ver = _parsers()
-    p_ver.set_defaults(seed=int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)))
+    raw = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+    try:
+        p_ver.set_defaults(seed=int(raw))
+    except ValueError:
+        raise SystemExit(_usage_error(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")) from None
     return top
 
 
@@ -335,9 +339,8 @@ _HANDLERS = {
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

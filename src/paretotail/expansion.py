@@ -8,7 +8,10 @@ E prod X_{n,n-s_i}^{theta_i} expands as
 where the C_j collect quantile-series coefficients against the n-free beta
 factor, and the e_i come from the gamma-ratio asymptotic series.  The
 normalized variables Y_{ns} = X_{n,n-s} / (n c_0)^{1/alpha} are obtained by
-an exact final rescaling of the same terms.
+an exact final rescaling of the same terms.  C_j sums over the compositions
+of j into k parts, but the beta factor is a product of one gap factor per
+depth that sees a composition only through its suffix sum; so C_0..C_jmax
+come from one convolution over the depths, in O(k jmax^2) products.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .betamoments import gamma_ratio_coeffs, n_free_factor, require_finite
+from .betamoments import beta_ratio, gamma_ratio, gamma_ratio_coeffs, require_finite, suffix_sums
 from .errors import UnsupportedOrderError
 from .quantile import QuantilePowerSeries, TailModel, _exact_ratio, quantile_series
 from .series import FormalSeries
@@ -137,8 +140,7 @@ class ExpansionSeries:
     def _combine(self, other: "ExpansionSeries", lead, pairs) -> "ExpansionSeries":
         if self.a != other.a:
             raise ValueError(f"grids on different gaps: a = {self.a} and {other.a}")
-        (i1, j1), (i2, j2) = self._box(), other._box()
-        imax, jmax = min(i1, i2), min(j1, j2)
+        imax, jmax = map(min, self._box(), other._box())
         terms = {}
         for ij, c in pairs:
             if ij[0] <= imax and ij[1] <= jmax:
@@ -157,10 +159,12 @@ class ExpansionSeries:
         return self + other.rescaled(-1)
 
     def __mul__(self, other: "ExpansionSeries") -> "ExpansionSeries":
+        imax, jmax = map(min, self._box(), other._box())
         pairs = (
             ((i1 + i2, j1 + j2), c1 * c2)
             for (i1, j1), c1 in self.terms.items()
             for (i2, j2), c2 in other.terms.items()
+            if i1 + i2 <= imax and j1 + j2 <= jmax
         )
         return self._combine(other, self.lead + other.lead, pairs)
 
@@ -189,10 +193,12 @@ class CovarianceReport:
 
 @dataclass(frozen=True)
 class _SharedTablesQuery(MomentQuery):
-    """A query that carries its quantile tables, built once by a caller that
-    asks for several depth tuples on one tail, power and jmax."""
+    """A query that carries its quantile tables and gamma-ratio coefficients
+    (by argument), built once by a caller that asks for several depth tuples
+    on one tail, power, imax and jmax."""
 
     tables: tuple = field(default=(), compare=False, repr=False)
+    ecoeffs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _cut_tail(tail: TailModel, jmax: int) -> TailModel:
@@ -220,45 +226,43 @@ def _quantile_tables(query: MomentQuery) -> Sequence[QuantilePowerSeries]:
     return [built[(type(t), t)] for t in query.theta]
 
 
-def cj_coeff(query: MomentQuery, j: int, tables=None):
+def cj_coeff(query: MomentQuery, j: int):
     """C_j(s : psi): sum over compositions i_1 + ... + i_k = j of the
     quantile-coefficient product against the n-free beta factor."""
     if j > query.jmax:
         raise UnsupportedOrderError(f"j={j} exceeds jmax={query.jmax}")
-    if tables is None:
-        tables = _quantile_tables(query)
-    a = query.tail.a
-    psi = query.psi
-    k = query.k
-    total = 0
-    for comp in _compositions(j, k):
-        prod = 1
-        for m in range(k):
-            prod = prod * tables[m].C[comp[m]]
-        tau = tuple(comp[m] * a - psi[m] for m in range(k))
-        total = total + prod * n_free_factor(query.s, tau)
-    return total
+    return _cj_upto(query, j, _quantile_tables(query))[j]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _cj_upto(query: MomentQuery, jtop: int, tables) -> list:
+    """C_0..C_jtop: with F_i(Q) the gap factor of depth i at suffix sum Q,
+    D_i(Q) = F_i(Q) sum_c C^(i)_c D_{i+1}(Q - c) from the empty product
+    D_{k+1} = (1, 0, 0, ...), and C_j = D_1(j)."""
+    s, a = query.s, query.tail.a
+    Psi = suffix_sums(query.psi)
+    D = [1] + [0] * jtop
+    for m in reversed(range(query.k)):
+        if m:
+            F = [beta_ratio(s[m - 1] - s[m], s[m] + 1, q * a - Psi[m]) for q in range(jtop + 1)]
+        else:
+            F = [gamma_ratio(s[0] + 1, q * a - Psi[0]) for q in range(jtop + 1)]
+        C = tables[m].C
+        D = [F[q] * sum(C[c] * D[q - c] for c in range(q + 1)) for q in range(jtop + 1)]
+    return D
 
 
 def moment_expansion(query: MomentQuery) -> ExpansionSeries:
     """Full (i, j) term grid for the raw moment E prod X_{n,n-s_i}^{theta_i}."""
     tables = _quantile_tables(query)
+    ecoeffs = query.ecoeffs if isinstance(query, _SharedTablesQuery) else {}
     psibar1 = query.psibar1
     a = query.tail.a
     terms = {}
-    for j in range(query.jmax + 1):
-        cj = cj_coeff(query, j, tables)
-        es = gamma_ratio_coeffs(j * a - psibar1, query.imax)
-        for i, ei in enumerate(es):
+    for j, cj in enumerate(_cj_upto(query, query.jmax, tables)):
+        x = j * a - psibar1
+        if x not in ecoeffs:
+            ecoeffs[x] = gamma_ratio_coeffs(x, query.imax)
+        for i, ei in enumerate(ecoeffs[x]):
             terms[(i, j)] = ei * cj
     remainder = min(query.imax + 1, (query.jmax + 1) * a)
     return ExpansionSeries(psibar1, a, terms, remainder)
@@ -322,16 +326,17 @@ def _set_partitions(items: list):
 
 def _moment_grids(tail: TailModel, imax: int, jmax: int):
     """A function from depth tuples to the grid of E prod Y_{n,s_i}, which
-    builds each grid once and reverts the tail once for all of them; the
-    grids live as long as the function."""
+    builds each grid once and, for all of them, reverts the tail once and
+    gets each gamma-ratio coefficient list once; all live as long as it."""
     one = 1 + 0 * tail.c[0]
     table = quantile_series(_cut_tail(tail, jmax), one)
+    ecoeffs = {}
     grids = {}
 
     def grid(depths: tuple) -> ExpansionSeries:
         if depths not in grids:
             k = len(depths)
-            q = _SharedTablesQuery(tail, depths, (one,) * k, imax, jmax, (table,) * k)
+            q = _SharedTablesQuery(tail, depths, (one,) * k, imax, jmax, (table,) * k, ecoeffs)
             grids[depths] = normalized_moment_expansion(q)
         return grids[depths]
 

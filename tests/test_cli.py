@@ -341,6 +341,18 @@ def test_run_reads_the_seed_env_var_on_every_call(monkeypatch):
     assert seeds == [11, 7, DEFAULT_SEED, 5]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["list-distributions"], ["verify", "--dist", "pareto", "--s", "1", "--n", "10,20,40"]],
+)
+def test_seed_env_var_that_is_not_an_integer_is_a_usage_error(monkeypatch, capsys, argv):
+    monkeypatch.setenv(SEED_ENV_VAR, "abc")
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert SEED_ENV_VAR in err and "'abc'" in err
+
+
 def test_typos_schema():
     code, out = run_cli(["typos"])
     assert code == 0

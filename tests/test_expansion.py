@@ -1,5 +1,7 @@
 """Expansion machinery: term grids, closed-form specializations, rescaling."""
 
+import collections
+import itertools
 import math
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import paretotail
 from paretotail import expansion
 from paretotail.betamoments import (
     RankSpec,
+    gamma_ratio_coeffs,
     joint_beta_moment,
     n_free_factor,
 )
@@ -30,7 +33,7 @@ from paretotail.expansion import (
     pair_moment_expansion,
     third_cumulant_expansion,
 )
-from paretotail.quantile import TailModel
+from paretotail.quantile import TailModel, quantile_series
 from paretotail.series import FormalSeries
 
 unit_tails = st.builds(
@@ -347,6 +350,126 @@ def test_third_cumulant_computes_each_depth_set_once(monkeypatch):
     tail = TailModel(Fraction(1), Fraction(1), FormalSeries([Fraction(1), Fraction(0), Fraction(0)]))
     assert third_cumulant_expansion(5, 3, 1, tail) == (Fraction(1, 30), Fraction(-7, 30), 0)
     assert sorted(calls) == [(1,), (3,), (3, 1), (5,), (5, 1), (5, 3), (5, 3, 1)]
+
+
+def _deep_tail(alpha, beta, order=6):
+    """A tail of the given order in the scalar type of alpha."""
+    c = [Fraction(6, 5)] + [Fraction((-1) ** i * (2 * i + 1), 10 ** (i + 1)) for i in range(1, order + 1)]
+    if isinstance(alpha, float):
+        c = [float(x) for x in c]
+    return TailModel(alpha, beta, FormalSeries(c))
+
+
+def _brute_force_cj(query, j):
+    """C_j as the plain sum over compositions i_1 + ... + i_k = j of the
+    quantile-coefficient product against the public n-free factor."""
+    tail = TailModel(query.tail.alpha, query.tail.beta, query.tail.c.truncate(query.jmax))
+    C = [quantile_series(tail, t).C for t in query.theta]
+    a, psi, k = tail.a, query.psi, query.k
+    total = 0
+    for comp in itertools.product(range(j + 1), repeat=k):
+        if sum(comp) == j:
+            prod = 1
+            for m in range(k):
+                prod = prod * C[m][comp[m]]
+            total = total + prod * n_free_factor(query.s, tuple(comp[m] * a - psi[m] for m in range(k)))
+    return total
+
+
+_DEPTHS = {1: (3,), 2: (5, 2), 3: (5, 3, 1), 4: (7, 5, 3, 1)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "alpha, beta, mixed",
+    [
+        (Fraction(1), Fraction(1), False),
+        (Fraction(1), Fraction(2), False),
+        (Fraction(1), Fraction(1), True),
+        (Fraction(1), Fraction(2), True),
+        (1.5, 1.2, False),
+        (2.5, 0.75, True),
+    ],
+)
+def test_grid_matches_the_sum_over_compositions(k, alpha, beta, mixed):
+    # the convolution over the depths against the brute-force sum it
+    # replaces: equal value and type in Fraction, 1e-13 relative in float
+    one = 1 + 0 * alpha
+    theta = tuple(one * (2 if mixed and m == 1 else 1) for m in range(k))
+    tail = _deep_tail(alpha, beta)
+    for jmax in range(7):
+        q = MomentQuery(tail, _DEPTHS[k], theta, imax=2, jmax=jmax)
+        terms = moment_expansion(q).terms
+        for j in range(jmax + 1):
+            want = _brute_force_cj(q, j)
+            got = cj_coeff(q, j)
+            es = gamma_ratio_coeffs(j * tail.a - q.psibar1, 2)
+            if isinstance(alpha, Fraction):
+                assert (type(got), got) == (type(want), want), (jmax, j)
+                for i, e in enumerate(es):
+                    assert (type(terms[(i, j)]), terms[(i, j)]) == (type(e * want), e * want)
+            else:
+                assert type(got) is float
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+                for i, e in enumerate(es):
+                    assert terms[(i, j)] == pytest.approx(e * want, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1), 1.0])
+def test_grid_of_no_depths_is_one(alpha):
+    # the empty product: E 1 = 1 at every n
+    grid = moment_expansion(MomentQuery(_deep_tail(alpha, alpha), (), (), imax=2, jmax=2))
+    assert grid.lead == 0 and len(grid.terms) == 9
+    assert all(c == (ij == (0, 0)) for ij, c in grid.terms.items()), grid.terms
+
+
+@pytest.mark.parametrize(
+    "alpha, s, theta",
+    [
+        (Fraction(1), (1,), (Fraction(2),)),
+        (Fraction(1), (3, 0), (Fraction(1), Fraction(1))),
+        (1.0, (4, 2, 0), (1.0, 1.0, 1.0)),
+        (1.0, (6, 4, 3, 0), (1.0, 1.0, 1.0, 1.0)),
+    ],
+)
+def test_grid_refuses_what_the_composition_sum_refuses(alpha, s, theta):
+    tail = _deep_tail(alpha, alpha)
+    psi = tuple(t / alpha for t in theta)
+    with pytest.raises(InfiniteMomentError):
+        n_free_factor(s, tuple(-p for p in psi))
+    with pytest.raises(InfiniteMomentError):
+        moment_expansion(MomentQuery(tail, s, theta, imax=2, jmax=3))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_grid_evaluates_each_gap_factor_once(monkeypatch, exact):
+    # one gap factor per depth and suffix sum Q <= jmax; summing over
+    # compositions took one per depth of each of the C(jmax + k, k)
+    # compositions, 840 here
+    calls = []
+    for name in ("gamma_ratio", "beta_ratio"):
+        original = getattr(expansion, name)
+        monkeypatch.setattr(expansion, name, lambda *args, _f=original: calls.append(args) or _f(*args))
+    k, jmax = 4, 6
+    alpha = Fraction(1) if exact else 1.0
+    tail = _deep_tail(alpha, 2 * alpha)
+    moment_expansion(MomentQuery(tail, (7, 5, 3, 1), (alpha,) * k, imax=2, jmax=jmax))
+    assert len(calls) == k * (jmax + 1)
+
+
+def test_cumulant_computes_each_gamma_ratio_argument_once(monkeypatch):
+    calls = collections.Counter()
+    original = expansion.gamma_ratio_coeffs
+
+    def counting(x, imax):
+        calls[x] += 1
+        return original(x, imax)
+
+    monkeypatch.setattr(expansion, "gamma_ratio_coeffs", counting)
+    tail = _exact_tail(2)  # a = 2, so j*a - k at (j, k) = (1, 3) and (0, 1) meet
+    joint_cumulant_expansion(tail, (5, 3, 1), 1, 1)
+    assert set(calls) == {j * 2 - k for j in (0, 1) for k in (1, 2, 3)} == {-3, -2, -1, 0, 1}
+    assert max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("alpha", [2.0, 2.5])
