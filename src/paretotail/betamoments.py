@@ -12,6 +12,7 @@ non-integer shifts.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InfiniteMomentError, UnsupportedOrderError
-from .series import rising_factorial
+from .series import FormalSeries, rising_factorial, series_log
 
 __all__ = [
     "RankSpec",
@@ -224,52 +225,42 @@ def n_free_factor(s: Sequence[int], theta: Sequence):
     return out
 
 
-# Coefficients of n! / Gamma(n+1+theta) = n^{-theta} sum_i e_i(theta) n^{-i},
-# each a polynomial in theta assembled from rising factorials.
-_E_MAX = 7
-
-
-def _e_poly(i: int, t):
-    if i == 0:
-        return 1 + 0 * t
-    if i == 1:
-        return -rising_factorial(t, 2) / 2
-    if i == 2:
-        return rising_factorial(t, 3) * (3 * t + 1) / 24
-    if i == 3:
-        return -rising_factorial(t, 4) * rising_factorial(t, 2) / 48
-    if i == 4:
-        return rising_factorial(t, 5) * (15 * t**3 + 30 * t**2 + 5 * t - 2) / 5760
-    if i == 5:
-        return (
-            -rising_factorial(t, 6)
-            * rising_factorial(t, 2)
-            * (3 * t**2 + 7 * t - 2)
-            / 11520
-        )
-    if i == 6:
-        return (
-            rising_factorial(t, 7)
-            * (63 * t**5 + 315 * t**4 + 315 * t**3 - 91 * t**2 - 42 * t + 16)
-            / 2903040
-        )
-    if i == 7:
-        return (
-            -rising_factorial(t, 8)
-            * rising_factorial(t, 2)
-            * (9 * t**4 + 54 * t**3 + 51 * t**2 - 58 * t + 16)
-            / 5806080
-        )
-    raise UnsupportedOrderError(f"e-series coefficients stop at index {_E_MAX}")
+@functools.lru_cache(maxsize=None)
+def _lambda_coeffs(order: int) -> tuple:
+    """The nonzero (j, lambda_j) of log((1 - e^{-t})/t) = sum_j lambda_j t^j
+    to t^order, exact and in float; lambda_j = 0 at odd j >= 3."""
+    body = [0] + [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(1, order + 1)]
+    exact = tuple((j, x) for j, x in enumerate(series_log(FormalSeries(body), 1)) if x)
+    return exact, tuple((j, float(x)) for j, x in exact)
 
 
 def gamma_ratio_coeffs(theta, imax: int) -> list:
-    """e_0(theta) .. e_imax(theta); the table stops at index 7."""
-    if not 0 <= imax <= _E_MAX:
-        raise UnsupportedOrderError(
-            f"imax must lie in [0, {_E_MAX}], got {imax}"
-        )
-    return [_e_poly(i, theta) for i in range(imax + 1)]
+    """e_0(theta) .. e_imax(theta) of n!/Gamma(n+1+theta) = n^{-theta} sum_i e_i n^{-i}:
+    e_k = binom(-theta, k) B_k^(1-theta)(1) (Tricomi & Erdelyi, 1951) = (-1)^k (theta)_k h_k
+    with h = exp(l), l(t) = (theta - 1) log((1 - e^{-t})/t) + theta t.  A float
+    theta runs in float; any other (int, Fraction, sympy) in exact rationals."""
+    if imax < 0:
+        raise UnsupportedOrderError(f"imax must be >= 0, got {imax}")
+    exact, approx = _lambda_coeffs(imax)
+    # h_0 = 1 and h_m = (1/m) sum_j j l_j h_{m-j} over the nonzero
+    # l_j = (theta - 1) lambda_j, plus theta at j = 1
+    jl = [(j, j * ((theta - 1) * x + (theta if j == 1 else 0)))
+          for j, x in (approx if isinstance(theta, float) else exact)]
+    h = [1 + 0 * theta]
+    out = [h[0]]
+    poch = 1  # (-1)^m (theta)_m
+    for m in range(1, imax + 1):
+        acc = 0
+        for j, c in jl:
+            if j > m:
+                break
+            acc = acc + c * h[m - j]
+        h.append(acc / m)
+        poch = -poch * (theta + m - 1)
+        out.append(poch * h[m])
+    if isinstance(theta, float) and theta.is_integer() and 0 < -theta <= imax:
+        out[int(-theta)] = 0.0  # e_p(-p) = 0, which float h_p misses by rounding
+    return out
 
 
 def gamma_ratio_eval(n: int, theta, imax: int):

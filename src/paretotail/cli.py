@@ -56,6 +56,12 @@ def _float_list(text: str):
     return [float(tok) for tok in text.split(",")]
 
 
+def _order(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The process's one parser, its ``verify --seed`` default read from
     ``PARETOTAIL_SEED`` at this call, so a change to the environment holds
@@ -87,7 +93,7 @@ def _parsers():
         "--tail",
         help="raw tail model alpha,beta,c0,c1,... (alternative to --dist)",
     )
-    p_inv.add_argument("--order", type=int, required=True)
+    p_inv.add_argument("--order", type=_order, required=True)
     p_inv.add_argument("--theta", type=float, default=1.0)
     add_format(p_inv)
 
@@ -95,8 +101,8 @@ def _parsers():
     p_mom.add_argument("--dist", required=True)
     p_mom.add_argument("--s", type=_int_list, required=True)
     p_mom.add_argument("--theta", type=_float_list)
-    p_mom.add_argument("--imax", type=int, default=7)
-    p_mom.add_argument("--jmax", type=int, default=2)
+    p_mom.add_argument("--imax", type=_order, default=7)
+    p_mom.add_argument("--jmax", type=_order, default=2)
     p_mom.add_argument("--n", type=int)
     add_format(p_mom)
 
@@ -107,8 +113,8 @@ def _parsers():
     p_ver.add_argument("--oracle", choices=("quad", "mc"), default="quad")
     p_ver.add_argument("--reps", type=int, default=1_000_000)
     p_ver.add_argument("--seed", type=int)
-    p_ver.add_argument("--imax", type=int, default=2)
-    p_ver.add_argument("--jmax", type=int, default=1)
+    p_ver.add_argument("--imax", type=_order, default=2)
+    p_ver.add_argument("--jmax", type=_order, default=1)
     add_format(p_ver)
 
     p_typ = sub.add_parser("typos", help="print the correction ledger")

@@ -63,6 +63,9 @@ class MomentQuery:
             raise ValueError(f"depths must be nonincreasing, got {self.s}")
         if self.s and self.s[-1] < 0:
             raise ValueError(f"depths must be >= 0, got {self.s}")
+        for name, value in (("imax", self.imax), ("jmax", self.jmax)):
+            if value < 0:
+                raise UnsupportedOrderError(f"{name} must be >= 0, got {value}")
         if self.jmax > self.tail.order:
             raise UnsupportedOrderError(
                 f"jmax={self.jmax} exceeds the tail model order {self.tail.order}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import UnsupportedOrderError
+from .errors import SingularInputError, UnsupportedOrderError
 
 __all__ = [
     "FormalSeries",
@@ -190,8 +190,6 @@ def series_general_power(x: FormalSeries, p) -> FormalSeries:
     """x^p for a series with nonzero constant term: x_0^p (1 + S/x_0)^p."""
     x0 = x[0]
     if x0 == 0:
-        from .errors import SingularInputError
-
         raise SingularInputError("general power needs a nonzero constant term")
     tail = FormalSeries((0,) + x.coeffs[1:])
     return series_power(tail, p, 1 / (x0 * 1)).scale(x0**p)

@@ -112,26 +112,31 @@ def test_pareto_exactness(verdict):
 
 
 def test_gamma_ratio_remainder(verdict):
+    # truncated after e_imax, the remainder is O(n^{-imax-1}), so doubling n
+    # shrinks it by about 2^{imax+1}: 256 at imax 7, 2048 at imax 10
     t0 = time.perf_counter()
     ok = True
     ratios = []
-    for theta in (sp.Rational(1, 2), sp.Rational(3, 2)):
-        rels = {}
-        for n in (20, 40):
-            exact = sp.gamma(n + 1) / sp.gamma(n + 1 + theta)
-            es = gamma_ratio_coeffs(theta, 7)
-            series = sp.Integer(n) ** (-theta) * sum(
-                e * sp.Rational(1, n**i) for i, e in enumerate(es)
-            )
-            rels[n] = sp.Abs((exact - series) / exact).evalf(40)
-        ratio = float(rels[20] / rels[40])
-        ratios.append(ratio)
-        if not 200 <= ratio <= 320:
-            ok = False
+    windows = {7: (200, 320), 10: (1600, 2560)}
+    for imax, (lo, hi) in windows.items():
+        for theta in (sp.Rational(1, 2), sp.Rational(3, 2)):
+            rels = {}
+            for n in (20, 40):
+                exact = sp.gamma(n + 1) / sp.gamma(n + 1 + theta)
+                es = gamma_ratio_coeffs(theta, imax)
+                series = sp.Integer(n) ** (-theta) * sum(
+                    e * sp.Rational(1, n**i) for i, e in enumerate(es)
+                )
+                rels[n] = sp.Abs((exact - series) / exact).evalf(40)
+            ratio = float(rels[20] / rels[40])
+            ratios.append(ratio)
+            if not lo <= ratio <= hi:
+                ok = False
     elapsed = time.perf_counter() - t0
     verdict(
         f"criterion 4: gamma-ratio remainder shrinks by "
-        f"{ratios[0]:.1f} / {ratios[1]:.1f} (target [200, 320]), "
+        f"{ratios[0]:.1f} / {ratios[1]:.1f} at imax 7 (target [200, 320]) and "
+        f"{ratios[2]:.1f} / {ratios[3]:.1f} at imax 10 (target [1600, 2560]), "
         f"{elapsed:.2f}s",
         ok and elapsed < 1.0,
     )

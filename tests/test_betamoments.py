@@ -181,22 +181,35 @@ def test_moment_monotone_in_rank():
 
 def test_e_polynomials_exact():
     # expand prod_{j=1}^{p} 1/(1 + j/n) in powers of 1/n and compare with the
-    # closed-form e_i(theta) at theta = p
-    for p in (1, 2, 3, 5, 8, 12):
-        # series inversion of prod (1 + j x) with x = 1/n, to order 7
-        prod = [Fraction(1)] + [Fraction(0)] * 7
-        for j in range(1, p + 1):
-            new = [Fraction(0)] * 8
-            for i in range(8):
-                new[i] += prod[i]
-                if i + 1 < 8:
-                    new[i + 1] += j * prod[i]
-            prod = new
-        inv = [Fraction(1)] + [Fraction(0)] * 7
-        for i in range(1, 8):
-            inv[i] = -sum(prod[m] * inv[i - m] for m in range(1, i + 1))
-        got = gamma_ratio_coeffs(Fraction(p), 7)
-        assert [Fraction(g) for g in got] == inv
+    # generated e_i(theta) at theta = p, at orders 7 and 12
+    for order in (7, 12):
+        for p in (1, 2, 3, 5, 8, 12):
+            # series inversion of prod (1 + j x) with x = 1/n
+            prod = [Fraction(1)] + [Fraction(0)] * order
+            for j in range(1, p + 1):
+                new = [Fraction(0)] * (order + 1)
+                for i in range(order + 1):
+                    new[i] += prod[i]
+                    if i < order:
+                        new[i + 1] += j * prod[i]
+                prod = new
+            inv = [Fraction(1)] + [Fraction(0)] * order
+            for i in range(1, order + 1):
+                inv[i] = -sum(prod[m] * inv[i - m] for m in range(1, i + 1))
+            got = gamma_ratio_coeffs(Fraction(p), order)
+            assert [Fraction(g) for g in got] == inv
+
+
+def test_e_polynomials_float_track_exact():
+    # the float recurrence stays within rounding of the exact one at order
+    # 12, across theta in [-6, 6]
+    for k in range(-24, 24):
+        theta = Fraction(k, 4) + Fraction(1, 7)
+        exact = gamma_ratio_coeffs(theta, 12)
+        approx = gamma_ratio_coeffs(float(theta), 12)
+        assert all(type(x) is float for x in approx)
+        scale = max(abs(e) for e in exact)
+        assert max(abs(Fraction(x) - e) for x, e in zip(approx, exact)) <= 1e-13 * scale
 
 
 def test_e_polynomials_vanish_at_minus_one():
@@ -204,6 +217,17 @@ def test_e_polynomials_vanish_at_minus_one():
     es = gamma_ratio_coeffs(Fraction(-1), 7)
     assert es[0] == 1
     assert all(e == 0 for e in es[1:])
+
+
+def test_e_polynomials_float_vanish_exactly_at_negative_integers():
+    # n!/Gamma(n+1-p) is a polynomial in n, so e_k(-p) = 0 for k >= p; a float
+    # theta gives exact zeros there too, or an expansion would carry a
+    # spurious last term
+    for p in range(1, 13):
+        es = gamma_ratio_coeffs(-float(p), 12)
+        assert all(e == 0.0 and type(e) is float for e in es[p:])
+        exact = gamma_ratio_coeffs(Fraction(-p), 12)
+        assert es[:p] == pytest.approx([float(e) for e in exact[:p]], rel=1e-12)
 
 
 def test_gamma_ratio_eval_agreement():
@@ -217,7 +241,7 @@ def test_gamma_ratio_eval_agreement():
     with pytest.raises(InfiniteMomentError):
         gamma_ratio_eval(2, -4, 3)
     with pytest.raises(UnsupportedOrderError):
-        gamma_ratio_coeffs(1.0, 8)
+        gamma_ratio_coeffs(1.0, -1)
 
 
 def test_gamma_ratio_eval_exact_side_stays_exact():

@@ -107,6 +107,29 @@ def test_usage_exit_codes():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--dist", "cauchy", "--s", "1", "--jmax", "-1"],
+        ["moments", "--dist", "cauchy", "--s", "1", "--imax", "-1"],
+        ["verify", "--dist", "cauchy", "--s", "1", "--n", "50,100,200", "--imax", "-1"],
+        ["invert", "--dist", "cauchy", "--order", "-1"],
+    ],
+)
+def test_negative_orders_name_their_flag(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-2]}: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
+def test_moments_past_order_seven():
+    code, out = run_cli(["moments", "--dist", "cauchy", "--s", "3,1", "--imax", "10", "--n", "100"])
+    assert code == 0
+    header, rows = csv_rows(out.split("\n\n")[0])
+    assert max(int(row[0]) for row in rows) == 10
+
+
+@pytest.mark.parametrize(
     "spec", ["student_t(inf)", "f_dist(3,inf)", "student_t(400)", "f_dist(3,400)"]
 )
 def test_non_finite_or_overflowing_parameters_are_usage_errors(spec, capsys):

@@ -58,6 +58,9 @@ def test_query_validation():
         MomentQuery(tail, (1, 2), (1.0, 1.0))
     with pytest.raises(UnsupportedOrderError):
         MomentQuery(tail, (3,), (1.0,), jmax=5)
+    for name in ("imax", "jmax"):
+        with pytest.raises(UnsupportedOrderError, match=f"{name} must be >= 0, got -1"):
+            MomentQuery(tail, (3,), (1.0,), **{name: -1})
 
 
 def test_leading_coefficient_structure():
@@ -113,6 +116,20 @@ def test_pure_pareto_terms_are_exact():
         exact = joint_beta_moment(RankSpec(n, (n - 2,)), (-1.0,)) / n
         value, _ = exp.evaluate(n)
         assert value == pytest.approx(exact, rel=1e-13)
+
+
+def test_orders_past_seven_keep_closing_on_the_exact_moment():
+    # theta = alpha / 2 on a pure Pareto tail: E Y = E (1-U)^{-1/2} / n^{1/2}
+    # has a nonterminating series in 1/n, so each order added past 7 shows
+    tail = make_tail(2.0, 1.0, [3.0, 0.0, 0.0])
+    n = 6
+    exact = joint_beta_moment(RankSpec(n, (n - 2,)), (-0.5,)) / n**0.5
+    errs = []
+    for imax in (7, 10, 12):
+        value, _ = normalized_moment_expansion(MomentQuery(tail, (2,), (1.0,), imax=imax)).evaluate(n)
+        errs.append(abs(value - exact) / exact)
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] < 2e-12
 
 
 @given(unit_tails, st.integers(2, 6))
