@@ -9,6 +9,7 @@ coefficients only, and only the one-sided positive case gets a sampler.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -66,6 +67,8 @@ _LAWS = {
 }
 CATALOG_NAMES = tuple(_LAWS)
 MAX_TAIL_ORDER = 12
+# tail models kept per process, one per (law, parameter types, order)
+_TAIL_CACHE_SIZE = 256
 # sample_top's table of Kanter's function: bins over [0, pi), the relative
 # slack on each bound, and the least power in A that keeps full precision
 _KANTER_BINS = 2048
@@ -155,7 +158,18 @@ def parse_distribution(text: str) -> DistributionSpec:
 
 
 def tail_of(dist: DistributionSpec, order: int) -> TailModel:
-    """Tail model (alpha, beta, c_0..c_order) for a catalog distribution."""
+    """Tail model (alpha, beta, c_0..c_order) for a catalog distribution.
+
+    Built once per (law, order) and process, and shared: a ``TailModel`` is
+    immutable.  The parameters' types are part of the key, since an integer
+    alpha gives an exact gap ``a`` where an equal float does not.  A call
+    that raises leaves nothing in the cache.
+    """
+    return _tail_model(dist, tuple(map(type, dist.params)), order)
+
+
+@functools.lru_cache(maxsize=_TAIL_CACHE_SIZE)
+def _tail_model(dist: DistributionSpec, param_types: tuple, order: int) -> TailModel:
     if order > MAX_TAIL_ORDER:
         raise UnsupportedOrderError(
             f"catalog tail coefficients stop at order {MAX_TAIL_ORDER}"

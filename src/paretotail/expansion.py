@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 
+def _require_orders(imax: int, jmax: int) -> None:
+    for name, value in (("imax", imax), ("jmax", jmax)):
+        if value < 0:
+            raise UnsupportedOrderError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class MomentQuery:
     """Identifies E prod X_{n,n-s_i}^{theta_i} and its truncation orders."""
@@ -63,9 +69,7 @@ class MomentQuery:
             raise ValueError(f"depths must be nonincreasing, got {self.s}")
         if self.s and self.s[-1] < 0:
             raise ValueError(f"depths must be >= 0, got {self.s}")
-        for name, value in (("imax", self.imax), ("jmax", self.jmax)):
-            if value < 0:
-                raise UnsupportedOrderError(f"{name} must be >= 0, got {value}")
+        _require_orders(self.imax, self.jmax)
         if self.jmax > self.tail.order:
             raise UnsupportedOrderError(
                 f"jmax={self.jmax} exceeds the tail model order {self.tail.order}"
@@ -331,6 +335,7 @@ def _moment_grids(tail: TailModel, imax: int, jmax: int):
     """A function from depth tuples to the grid of E prod Y_{n,s_i}, which
     builds each grid once and, for all of them, reverts the tail once and
     gets each gamma-ratio coefficient list once; all live as long as it."""
+    _require_orders(imax, jmax)
     one = 1 + 0 * tail.c[0]
     table = quantile_series(_cut_tail(tail, jmax), one)
     ecoeffs = {}

@@ -12,7 +12,9 @@ from ``scipy.special.roots_jacobi`` (weights rescaled to sum to 1), and fall
 back to nested adaptive ``quad`` when two rules of the node ladder do not
 agree or a rule comes out non-finite.  A rule depends only on its size and
 exponents, never on the law, so each (m, a, b, q) is built once per process
-and shared, read-only, by every law and block that asks for it.
+and shared, read-only, by every law and block that asks for it.  A law's
+constants are built once per process too: its tail model (``tail_of``) and
+the denominator q of its gap beta/alpha that picks the rules' coordinate.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ _EPSREL_1D = 1e-11
 _EPSREL_2D = 1e-9
 # Gauss-Jacobi rules kept per process, about 1 kB each
 _JACOBI_CACHE_SIZE = 1024
+# gap denominators kept per process, one per (alpha, beta)
+_GAP_CACHE_SIZE = 256
 
 # numpy, scipy.integrate.quad and scipy.special.roots_jacobi are bound on
 # the first call that needs them, so that importing the oracles loads none.
@@ -175,6 +179,13 @@ def _log_beta(x: float, y: float) -> float:
     return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
 
+@functools.lru_cache(maxsize=_GAP_CACHE_SIZE)
+def _gap_denominator(alpha: float, beta: float) -> int:
+    """q in the gap beta/alpha = p/q in lowest terms; ``Fraction`` takes a
+    float exactly."""
+    return (Fraction(beta) / Fraction(alpha)).denominator
+
+
 @functools.lru_cache(maxsize=_JACOBI_CACHE_SIZE)
 def _jacobi_coordinate(m: int, a: float, b: float, q: int):
     """Nodes x, weights w and log scale c of an m-node rule
@@ -208,7 +219,7 @@ def _frozen(x, w, log_c):
     return x, w, log_c
 
 
-def _gauss_jacobi_rule(dist, n, s, theta, psi, q, m) -> float:
+def _gauss_jacobi_rule(dist, theta, psi, coords, log_c, q, m) -> float:
     """E prod X_{n,n-s_i}^theta_i by one tensor rule of m nodes per
     coordinate, for strictly decreasing depths s.
 
@@ -216,21 +227,18 @@ def _gauss_jacobi_rule(dist, n, s, theta, psi, q, m) -> float:
     factor the density into Jacobi weights v_1^(s_1 - sum psi)
     (1-v_1)^(n-s_1-1) and t_i^(s_{i+1} - sum_{j>i} psi_j)
     (1-t_i)^(s_i-s_{i+1}-1), which leave the integrand prod q(v_i)^theta_i
-    v_i^psi_i bounded.
+    v_i^psi_i bounded.  ``coords`` holds each coordinate's Jacobi exponents
+    (a, b) and ``log_c`` the log of the density's normalizing constant, both
+    independent of m.
     """
-    k = len(s)
-    log_c = math.lgamma(n + 1) - math.lgamma(n - s[0]) - math.lgamma(s[-1] + 1)
-    log_c -= sum(math.lgamma(s[i] - s[i + 1]) for i in range(k - 1))
-    psibar = suffix_sums(psi)
     v = integrand = None
     weights = []
-    for i in range(k):
-        upper = n if i == 0 else s[i - 1]
-        x, w, c = _jacobi_coordinate(m, upper - s[i] - 1, s[i] - psibar[i], q)
+    for (a, b), t, p in zip(coords, theta, psi):
+        x, w, c = _jacobi_coordinate(m, a, b, q)
         log_c += c
         weights.append(w)
         v = x if v is None else v[..., None] * x
-        g = upper_quantile(dist, v) ** theta[i] * v ** psi[i]
+        g = upper_quantile(dist, v) ** t * v ** p
         integrand = g if integrand is None else integrand[..., None] * g
     for w in reversed(weights):
         integrand = integrand @ w
@@ -247,16 +255,21 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
     if _roots_jacobi is None:
         _load_roots_jacobi()
     depths, powers = merge_ties(s, theta)
+    k = len(depths)
     tail = tail_of(dist, 0)
     psi = [t / tail.alpha for t in powers]
-    # q in the gap beta/alpha = p/q in lowest terms; Fraction takes a float exactly
-    q = (Fraction(tail.beta) / Fraction(tail.alpha)).denominator
+    q = _gap_denominator(tail.alpha, tail.beta)
+    psibar = suffix_sums(psi)
+    uppers = (n,) + depths[:-1]
+    coords = [(u - si - 1, si - pb) for u, si, pb in zip(uppers, depths, psibar)]
+    log_c = math.lgamma(n + 1) - math.lgamma(n - depths[0]) - math.lgamma(depths[-1] + 1)
+    log_c -= sum(math.lgamma(depths[i] - depths[i + 1]) for i in range(k - 1))
     nodes = 0
 
     def rule(m):
         nonlocal nodes
-        nodes += m ** len(depths)
-        return _gauss_jacobi_rule(dist, n, depths, powers, psi, q, m)
+        nodes += m**k
+        return _gauss_jacobi_rule(dist, powers, psi, coords, log_c, q, m)
 
     # a non-finite rule (inf weights once n - s passes ~1020, or an
     # overflowing integrand) stays non-finite with more nodes: fall back
@@ -535,21 +548,34 @@ def mc_third_cumulant(
 
 
 def convergence_rate_probe(n_grid, diffs, floor: float = 1e-9) -> RateFit:
-    """Least-squares slope of log |diff| against log n.
+    """Ordinary least-squares slope of log |diff| against log n, with the
+    root-mean-square residual of the fitted line.
 
-    Reports saturation instead of a slope when any difference sits at or
-    below the oracle's resolution floor.
+    Needs one finite diff per n, at least 3 distinct n > 0 and a floor
+    >= 0; raises ``ValueError`` otherwise.  Reports saturation instead of a slope when any
+    difference sits at or below the oracle's resolution floor.
     """
-    if np is None:
-        _load_numpy()
-    n_grid = np.asarray(n_grid, dtype=float)
-    diffs = np.abs(np.asarray(diffs, dtype=float))
-    if len(n_grid) < 3:
-        raise ValueError("need at least 3 grid points for a rate fit")
-    if np.any(diffs <= floor):
+    n_grid = [float(n) for n in n_grid]
+    diffs = [abs(float(d)) for d in diffs]
+    if len(n_grid) != len(diffs):
+        raise ValueError(
+            f"a rate fit needs one diff per n, got {len(diffs)} diffs for "
+            f"{len(n_grid)} values of n"
+        )
+    if len(set(n_grid)) < 3 or not all(0.0 < n < math.inf for n in n_grid):
+        raise ValueError(f"a rate fit needs 3 distinct finite n > 0, got {n_grid}")
+    if not all(math.isfinite(d) for d in diffs):
+        raise ValueError(f"a rate fit needs finite diffs, got {diffs}")
+    if not floor >= 0.0:
+        raise ValueError(f"a rate fit needs a floor >= 0, got {floor}")
+    if any(d <= floor for d in diffs):
         return RateFit(math.nan, math.nan, saturated=True)
-    x = np.log(n_grid)
-    y = np.log(diffs)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(float(slope), resid)
+    x = [math.log(n) for n in n_grid]
+    y = [math.log(d) for d in diffs]
+    x_mean = math.fsum(x) / len(x)
+    y_mean = math.fsum(y) / len(y)
+    dx = [xi - x_mean for xi in x]
+    dy = [yi - y_mean for yi in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    sq = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    return RateFit(slope, math.sqrt(sq / len(y)))

@@ -1,6 +1,7 @@
 """Distribution catalog: tail coefficients, quantiles, samplers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -394,3 +395,34 @@ def str_default(name):
         "frechet": "frechet(1)",
     }
     return defaults[name]
+
+
+def test_tail_models_are_built_once_and_errors_are_not_cached(monkeypatch):
+    calls = []
+    coefficients = catalog._tail_coefficients
+
+    def counting(*args):
+        calls.append(args)
+        return coefficients(*args)
+
+    monkeypatch.setattr(catalog, "_tail_coefficients", counting)
+    catalog._tail_model.cache_clear()
+    for name in CATALOG_NAMES:
+        dist = parse_distribution(catalog._LAWS[name][0])
+        for k in (0, 3):
+            assert tail_of(dist, k) is tail_of(dist, k)
+    assert len(calls) == 2 * len(CATALOG_NAMES)
+    for _ in range(2):
+        with pytest.raises(UnsupportedOrderError):
+            tail_of(DistributionSpec("cauchy"), 13)
+        with pytest.raises(ParetoTailError, match="overflow"):
+            tail_of(parse_distribution("student_t(400)"), 0)
+    assert catalog._tail_model.cache_info().maxsize is not None
+
+
+def test_tail_models_keep_integer_and_float_parameters_apart():
+    # equal specs with equal hashes, but an integer alpha gives an exact gap
+    exact = tail_of(DistributionSpec("pareto", (2,)), 1)
+    inexact = tail_of(DistributionSpec("pareto", (2.0,)), 1)
+    assert DistributionSpec("pareto", (2,)) == DistributionSpec("pareto", (2.0,))
+    assert type(exact.a) is Fraction and type(inexact.a) is float

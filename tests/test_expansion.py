@@ -58,9 +58,15 @@ def test_query_validation():
         MomentQuery(tail, (1, 2), (1.0, 1.0))
     with pytest.raises(UnsupportedOrderError):
         MomentQuery(tail, (3,), (1.0,), jmax=5)
+    # the cumulant grids check the orders before they cut the tail to
+    # c_0..c_jmax, which at jmax = -1 would leave no coefficient
+    cauchy = make_tail(1.0, 2.0, [(-1.0) ** i / ((2 * i + 1) * math.pi) for i in range(3)])
     for name in ("imax", "jmax"):
         with pytest.raises(UnsupportedOrderError, match=f"{name} must be >= 0, got -1"):
             MomentQuery(tail, (3,), (1.0,), **{name: -1})
+        orders = {"imax": 1, "jmax": 1, name: -1}
+        with pytest.raises(UnsupportedOrderError, match=f"{name} must be >= 0, got -1"):
+            joint_cumulant_expansion(cauchy, (3, 2, 1), **orders)
 
 
 def test_leading_coefficient_structure():

@@ -1,6 +1,7 @@
 """Quadrature and Monte Carlo oracles against independently known values."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -459,6 +460,48 @@ def test_rate_probe():
     assert sat.saturated and math.isnan(sat.slope)
     with pytest.raises(ValueError):
         convergence_rate_probe([10, 20], [0.1, 0.2])
+    with pytest.raises(ValueError, match="floor >= 0"):
+        convergence_rate_probe(n, [0.0, 1e-3, 1e-4, 1e-5], floor=-1.0)
+
+
+@pytest.mark.parametrize(
+    "n_grid, diffs, match",
+    [
+        ([50, 100, 200], [1e-3, 1e-4], "one diff per n"),
+        ([50, 100], [1e-3, 1e-4, 1e-5], "one diff per n"),
+        ([50, 50, 50], [1e-3, 1e-4, 1e-5], "3 distinct"),
+        ([50, 100, 100, 50], [1e-3, 1e-4, 1e-4, 1e-3], "3 distinct"),
+        ([0, 100, 200], [1e-3, 1e-4, 1e-5], "n > 0"),
+        ([50, 100, 200], [1e-3, math.nan, 1e-5], "finite diffs"),
+        ([50, 100, 200], [1e-3, 1e-4, math.inf], "finite diffs"),
+    ],
+)
+def test_rate_probe_refuses_a_grid_it_cannot_fit(n_grid, diffs, match):
+    with pytest.raises(ValueError, match=match):
+        convergence_rate_probe(n_grid, diffs)
+
+
+def test_rate_probe_is_the_least_squares_line():
+    rng = np.random.default_rng(18)
+    for points in range(3, 9):
+        for _ in range(20):
+            n = np.sort(rng.choice(np.arange(10, 5000), points, replace=False))
+            diffs = rng.uniform(0.5, 2.0, points) * n ** rng.uniform(-3.0, 0.5)
+            fit = convergence_rate_probe(list(n), list(diffs), floor=0.0)
+            x, y = np.log(n), np.log(diffs)
+            slope, intercept = np.polyfit(x, y, 1)
+            resid = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+            assert fit.slope == pytest.approx(slope, rel=1e-12, abs=1e-12)
+            assert fit.residual == pytest.approx(resid, rel=1e-9, abs=1e-12)
+
+
+def test_gap_denominator_is_the_lowest_terms_one():
+    examples = [example for example, _, _ in catalog._LAWS.values()]
+    for spec in examples + ["pareto(1.5)", "f_dist(3,5)", "stable(0.3,-0.3)", "frechet(0.7)"]:
+        tail = tail_of(parse_distribution(spec), 0)
+        want = (Fraction(tail.beta) / Fraction(tail.alpha)).denominator
+        assert oracle._gap_denominator(tail.alpha, tail.beta) == want
+    assert oracle._gap_denominator.cache_info().maxsize is not None
 
 
 def test_oracle_result_validation():
