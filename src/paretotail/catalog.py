@@ -170,6 +170,8 @@ def tail_of(dist: DistributionSpec, order: int) -> TailModel:
 
 @functools.lru_cache(maxsize=_TAIL_CACHE_SIZE)
 def _tail_model(dist: DistributionSpec, param_types: tuple, order: int) -> TailModel:
+    if order < 0:
+        raise UnsupportedOrderError(f"tail order must be >= 0, got {order}")
     if order > MAX_TAIL_ORDER:
         raise UnsupportedOrderError(
             f"catalog tail coefficients stop at order {MAX_TAIL_ORDER}"
@@ -361,55 +363,68 @@ def sample_top(
     the row's k-th largest lower bound: any other draw lies below k draws
     of its row, and the final power is increasing.
     """
-    return _top_sampler(dist, reps, n, k)(rng)
+    new_draw, _ = _top_sampler(dist, reps, n, k)
+    return new_draw()(rng)
 
 
 def _top_sampler(dist: DistributionSpec, reps: int, n: int, k: int):
-    """``draw(rng)``, equal to ``sample_top(dist, rng, reps, n, k)``, for
-    drawing many blocks of one shape: the positive stable law's Kanter table
-    and its ``reps x n`` work arrays are built once, and each draw fills the
-    arrays in place.  Each draw returns a fresh array."""
+    """``(new_draw, nbytes)`` for drawing many blocks of one shape, on one
+    thread or several: each ``new_draw()`` returns a function ``draw(rng)``,
+    equal to ``sample_top(dist, rng, reps, n, k)``, that works in its own
+    arrays of ``nbytes`` bytes.  The positive stable law's Kanter table is
+    built once, here, and only read by the draws; its ``reps x n`` work
+    arrays are allocated per ``new_draw()`` call and filled in place on each
+    draw.  Each draw returns a fresh array."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if np is None:
         _load_numpy()
     if dist.name != "stable" or not dist.has_sampler:
-        return lambda rng: _top_of_rows(sample(dist, rng, (reps, n)), k)
+
+        def sorted_draw(rng):
+            return _top_of_rows(sample(dist, rng, (reps, n)), k)
+
+        # the draws and their partitioned copy, made afresh by each draw
+        return (lambda: sorted_draw), 16 * reps * n
     alpha = dist.params[0]
     lo, hi = _kanter_bounds(alpha)
-    r, w, low, high = (np.empty((reps, n)) for _ in range(4))
-    j32 = np.empty((reps, n), np.int32)
-    j = np.empty((reps, n), np.intp)
-    mask = np.empty((reps, n), bool)
 
-    def draw(rng):
-        rng.random(out=r)  # u = r pi, as in sample
-        rng.standard_exponential(out=w)  # the draws of exponential(1.0)
-        # floor(r B) < B, exact; numpy converts float64 to int32 several
-        # times faster than to int64, take copies an index that is not
-        # intp, and with mode "raise" it writes through a copy of out
-        np.multiply(r, _KANTER_BINS, out=low)
-        j32[...] = low
-        j[...] = j32
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(np.take(lo, j, out=low, mode="clip"), w, out=low)
-            np.divide(np.take(hi, j, out=high, mode="clip"), w, out=high)
-        # w = 0 makes a lower bound inf or nan; nan sorts above every
-        # number, as a nan draw does, and a nan threshold keeps the whole row
-        low.partition(n - k, axis=1)
-        np.less(high, low[:, n - k, None], out=mask)
-        flat = np.flatnonzero(np.logical_not(mask, out=mask))
-        u = r.ravel()[flat] * np.pi
-        x = (_kanter(alpha, u) / w.ravel()[flat]) ** ((1 - alpha) / alpha)
-        # each row's candidates, left-aligned and padded with -inf
-        rows = flat // n
-        counts = np.bincount(rows, minlength=reps)
-        starts = np.cumsum(counts) - counts
-        dense = np.full((reps, counts.max(initial=k)), -np.inf)
-        dense[rows, np.arange(len(rows)) - starts[rows]] = x
-        return _top_of_rows(dense, k)
+    def new_draw():
+        r, w, bounds = (np.empty((reps, n)) for _ in range(3))
+        j = np.empty((reps, n), np.intp)
+        mask = np.empty((reps, n), bool)
 
-    return draw
+        def draw(rng):
+            rng.random(out=r)  # u = r pi, as in sample
+            rng.standard_exponential(out=w)  # the draws of exponential(1.0)
+            # floor(r B) < B, exact; take with mode "raise" would write
+            # through a copy of out
+            np.multiply(r, _KANTER_BINS, out=bounds)
+            j[...] = bounds
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(np.take(lo, j, out=bounds, mode="clip"), w, out=bounds)
+                # w = 0 makes a lower bound inf or nan; nan sorts above every
+                # number, as a nan draw does, and a nan threshold keeps the
+                # whole row
+                bounds.partition(n - k, axis=1)
+                threshold = bounds[:, n - k, None].copy()
+                np.divide(np.take(hi, j, out=bounds, mode="clip"), w, out=bounds)
+            np.less(bounds, threshold, out=mask)
+            flat = np.flatnonzero(np.logical_not(mask, out=mask))
+            u = r.ravel()[flat] * np.pi
+            x = (_kanter(alpha, u) / w.ravel()[flat]) ** ((1 - alpha) / alpha)
+            # each row's candidates, left-aligned and padded with -inf
+            rows = flat // n
+            counts = np.bincount(rows, minlength=reps)
+            starts = np.cumsum(counts) - counts
+            dense = np.full((reps, counts.max(initial=k)), -np.inf)
+            dense[rows, np.arange(len(rows)) - starts[rows]] = x
+            return _top_of_rows(dense, k)
+
+        return draw
+
+    # u and w, the bounds, the bin index and the keep mask
+    return new_draw, (3 * 8 + 8 + 1) * reps * n
 
 
 def _top_of_rows(x, k: int):

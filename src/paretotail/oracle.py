@@ -4,7 +4,12 @@ Nothing here reuses the expansion machinery.  Moments of top order
 statistics are computed by integrating quantiles against the exact
 multivariate beta density of uniform order statistics, or by simulating the
 top block of uniforms directly through exponential spacings (for a law with
-a sampler but no quantile, its own top block, through one sampler per call).
+a sampler but no quantile, its own top block, through top-block samplers
+that share one Kanter table per call).  The Monte Carlo batches of one call
+run on one thread per usable CPU, at most one per batch, and only as many as
+keep their work arrays within ``_MC_WORK_BYTES`` together; the threads live
+for that call alone.  Each batch draws from its own stream and lands in its
+own slot, so a seeded result is bit for bit that of one thread.
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
 absorb the density's endpoint singularities exactly, with nodes and weights
@@ -19,8 +24,11 @@ the denominator q of its gap beta/alpha that picks the rules' coordinate.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -55,6 +63,9 @@ _EPSREL_2D = 1e-9
 _JACOBI_CACHE_SIZE = 1024
 # gap denominators kept per process, one per (alpha, beta)
 _GAP_CACHE_SIZE = 256
+# bytes of work arrays that the threads of one Monte Carlo call may hold
+# together: a shape too large for two runs on the caller's thread alone
+_MC_WORK_BYTES = 64 << 20
 
 # numpy, scipy.integrate.quad and scipy.special.roots_jacobi are bound on
 # the first call that needs them, so that importing the oracles loads none.
@@ -437,13 +448,32 @@ def _adaptive_joint_moment(
     return OracleResult(val, 0.0, "quad2d", evals, err)
 
 
-def _top_blocks(dist, n, smax, reps, seed, batches):
-    """An iterator over the batches' top blocks: ``reps // batches`` x
-    ``smax + 1`` arrays whose column s holds X_{n,n-s}, drawn from stream
-    (seed, b) for batch b.  A law with a quantile maps through it the top
-    block of v_s = 1 - U_{n,n-s}, built from exponential spacings (never
-    sorting n draws); one without draws through a single top-block sampler
-    for all batches."""
+def _worker_count(batches: int, nbytes: int) -> int:
+    """Threads for one Monte Carlo call: one per usable CPU and batch, no
+    more than keep their work arrays of ``nbytes`` each within
+    ``_MC_WORK_BYTES`` together, and at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, batches, _MC_WORK_BYTES // max(nbytes, 1)))
+
+
+def _per_batch(dist, n, smax, reps, seed, batches, reduce) -> list:
+    """``[reduce(x_0), ..., reduce(x_{batches - 1})]``, where the top block
+    x_b is a ``reps // batches`` x ``smax + 1`` array whose column s holds
+    X_{n,n-s}, drawn from stream (seed, b).
+
+    A law with a quantile maps through it the top block of v_s = 1 -
+    U_{n,n-s}, built from exponential spacings (never sorting n draws); one
+    without draws through top-block samplers that share one Kanter table.
+    The batches run on ``_worker_count`` threads that live for this call:
+    the caller's and the others', each with its own sampler and under a copy
+    of the caller's context, so that its ``np.errstate`` holds in all.  Each
+    result lands in its batch's slot, so the list is bit for bit that of
+    drawing the batches in order on one thread, and an error raised is that
+    of the lowest failing batch, as on one thread.
+    """
     if reps < 10_000:
         raise ValueError(f"reps must be >= 10000, got {reps}")
     if batches < 2:
@@ -461,20 +491,55 @@ def _top_blocks(dist, n, smax, reps, seed, batches):
             total = rng.gamma(n - smax, 1.0, bsize) + tops[:, -1]
             return upper_quantile(dist, tops / total[:, None])
 
+        # the spacings, the uniforms and the quantiles with one temporary
+        new_draw, nbytes = (lambda: block), 4 * 8 * bsize * (smax + 1)
     else:
-        block = _top_sampler(dist, bsize, n, smax + 1)  # column s = depth s
+        # column s = depth s
+        new_draw, nbytes = _top_sampler(dist, bsize, n, smax + 1)
 
-    def blocks():
-        for b in range(batches):
-            x = block(make_rng(seed, b))
-            if not np.all(np.isfinite(x)):
-                raise ParetoTailError(
-                    f"Monte Carlo top block for {dist} at n={n} has non-finite "
-                    f"values in batch {b}: the simulation under- or overflowed"
-                )
-            yield x
+    results = [None] * batches
+    errors = []  # (batch, exception); no batch is handed out after one
+    unclaimed = iter(range(batches))
+    lock = threading.Lock()
 
-    return blocks()
+    def claim():
+        with lock:
+            return None if errors else next(unclaimed, None)
+
+    def work():
+        b = -1  # an error before the first batch sorts first
+        try:
+            draw = new_draw()
+            for b in iter(claim, None):
+                x = draw(make_rng(seed, b))
+                if not np.all(np.isfinite(x)):
+                    raise ParetoTailError(
+                        f"Monte Carlo top block for {dist} at n={n} has "
+                        f"non-finite values in batch {b}: the simulation "
+                        "under- or overflowed"
+                    )
+                results[b] = reduce(x)
+        except Exception as exc:  # raised on the caller's thread below
+            with lock:
+                errors.append((b, exc))
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(_worker_count(batches, nbytes) - 1)
+    ]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:  # after an interrupt, hand out no more batches
+            for _ in unclaimed:
+                pass
+        for t in helpers:
+            t.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
 
 
 def mc_top_order_stats(
@@ -490,7 +555,7 @@ def mc_top_order_stats(
     ``specs`` is a list of (s-vector, theta-vector) pairs, all served from
     the same simulated top block.  Returns one OracleResult per spec, with
     batch-mean standard errors; deterministic for fixed (seed, reps,
-    batches).
+    batches), whatever the number of threads.
     """
     if np is None:
         _load_numpy()
@@ -498,15 +563,18 @@ def mc_top_order_stats(
     for s, t in specs:
         _require_moment(dist, n, s, t, _MC_MARGIN)
     smax = max(max(s) for s, _ in specs)
-    blocks = _top_blocks(dist, n, smax, reps, seed, batches)
-    bsize = reps // batches
-    sums = np.zeros((batches, len(specs)))
-    for b, x_by_s in enumerate(blocks):
-        for j, (s, t) in enumerate(specs):
-            prod = np.ones(bsize)
+
+    def spec_means(x_by_s):
+        row = []
+        for s, t in specs:
+            prod = np.ones(len(x_by_s))
             for si, ti in zip(s, t):
                 prod = prod * x_by_s[:, si] ** ti
-            sums[b, j] = prod.mean()
+            row.append(prod.mean())
+        return row
+
+    sums = np.array(_per_batch(dist, n, smax, reps, seed, batches, spec_means))
+    bsize = reps // batches
     out = []
     for j in range(len(specs)):
         means = sums[:, j]
@@ -531,20 +599,18 @@ def mc_third_cumulant(
     _require_moment(dist, n, (s1, s2, s3), (1.0, 1.0, 1.0), _MC_MARGIN)
     alpha = tail_of(dist, 0).alpha
     c0 = tail_of(dist, 0).c[0]
-    blocks = _top_blocks(dist, n, max(s), reps, seed, batches)
-    bsize = reps // batches
     scale = (n * c0) ** (1.0 / alpha)
-    kappas = np.zeros(batches)
-    for b, x in enumerate(blocks):
+
+    def kappa(x):
         y1, y2, y3 = x[:, s1] / scale, x[:, s2] / scale, x[:, s3] / scale
         m123 = (y1 * y2 * y3).mean()
         m12, m13, m23 = (y1 * y2).mean(), (y1 * y3).mean(), (y2 * y3).mean()
         m1, m2, m3 = y1.mean(), y2.mean(), y3.mean()
-        kappas[b] = (
-            m123 - m1 * m23 - m2 * m13 - m3 * m12 + 2.0 * m1 * m2 * m3
-        )
+        return m123 - m1 * m23 - m2 * m13 - m3 * m12 + 2.0 * m1 * m2 * m3
+
+    kappas = np.array(_per_batch(dist, n, max(s), reps, seed, batches, kappa))
     se = float(kappas.std(ddof=1) / math.sqrt(batches))
-    return OracleResult(float(kappas.mean()), se, "mc", bsize * batches)
+    return OracleResult(float(kappas.mean()), se, "mc", reps // batches * batches)
 
 
 def convergence_rate_probe(n_grid, diffs, floor: float = 1e-9) -> RateFit:

@@ -102,6 +102,8 @@ def test_capability_flags():
         sample(DistributionSpec("stable", (0.5, 0.0)), make_rng(1), 2)
     with pytest.raises(UnsupportedOrderError):
         tail_of(DistributionSpec("cauchy"), 13)
+    with pytest.raises(UnsupportedOrderError, match="got -1"):
+        tail_of(DistributionSpec("cauchy"), -1)
 
 
 def test_tail_matches_survival():
@@ -303,7 +305,9 @@ def test_top_sampler_draws_are_fresh_arrays():
     # one sampler reuses its work arrays across draws; no result may be a
     # view of them, so a later draw leaves an earlier result unchanged
     dist = parse_distribution("stable(0.5,-0.5)")
-    draw = catalog._top_sampler(dist, 300, 50, 5)
+    new_draw, nbytes = catalog._top_sampler(dist, 300, 50, 5)
+    assert nbytes == 33 * 300 * 50
+    draw = new_draw()
     first = draw(make_rng(1))
     kept = first.copy()
     second = draw(make_rng(2))

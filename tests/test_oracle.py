@@ -1,6 +1,10 @@
 """Quadrature and Monte Carlo oracles against independently known values."""
 
 import math
+import os
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -386,11 +390,73 @@ def test_mc_builds_the_kanter_table_once(monkeypatch):
         return bounds(alpha)
 
     monkeypatch.setattr(catalog, "_kanter_bounds", counting)
+    monkeypatch.setattr(oracle, "_worker_count", lambda batches, nbytes: batches)
     dist = parse_distribution("stable(0.7,-0.7)")
     mc_top_order_stats(dist, 50, [((4,), (1.0,))], reps=10_000, seed=2)
     assert calls == [0.7]
     mc_third_cumulant(dist, 50, (5, 3, 1), reps=10_000, seed=2)
     assert calls == [0.7, 0.7]
+
+
+@pytest.mark.parametrize("law", ["pareto(2)", "student_t(3)", "stable(0.7,-0.7)"])
+def test_mc_results_do_not_depend_on_the_thread_count(monkeypatch, law):
+    dist = parse_distribution(law)
+    specs = [((3,), (1.0,)), ((3, 1), (1.0, 1.0))]
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)  # the threads trade the lock often
+        for count in (1, 2, 25):
+            monkeypatch.setattr(oracle, "_worker_count", lambda batches, nbytes: count)
+            threads = threading.active_count()
+            runs.append(
+                (
+                    mc_top_order_stats(dist, 50, specs, reps=10_000, seed=5),
+                    mc_third_cumulant(dist, 50, (5, 3, 1), reps=10_000, seed=5),
+                )
+            )
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("count", [1, 2, 25])
+def test_mc_names_the_lowest_failing_batch(monkeypatch, count):
+    # at seed 13 the top blocks of batches 7 and 18 under- or overflow;
+    # batch 7 is held back, so that on several threads batch 18 fails first
+    dist = parse_distribution("stable(0.99,-0.99)")
+    with np.errstate(all="ignore"):  # must reach every thread
+        failing = [
+            b
+            for b in range(25)
+            if not np.all(np.isfinite(sample_top(dist, make_rng(13, b), 400, 1, 1)))
+        ]
+        assert failing == [7, 18]
+        rng = oracle.make_rng
+
+        def late_batch_7(seed, stream):
+            if stream == 7:
+                time.sleep(0.05)
+            return rng(seed, stream)
+
+        monkeypatch.setattr(oracle, "make_rng", late_batch_7)
+        monkeypatch.setattr(oracle, "_worker_count", lambda batches, nbytes: count)
+        with pytest.raises(ParetoTailError, match=r"in batch 7:"):
+            mc_top_order_stats(dist, 1, [((0,), (0.2,))], reps=10_000, seed=13)
+
+
+def test_mc_thread_count():
+    cpus = len(os.sched_getaffinity(0))
+    assert oracle._worker_count(25, 1000) == min(cpus, 25)
+    assert oracle._worker_count(2, 1000) == min(cpus, 2)
+    # the CLI default, --reps 1000000 in 25 batches, at n = 200: one
+    # sampler's work arrays alone pass the byte budget
+    dist = parse_distribution("stable(0.5,-0.5)")
+    _, nbytes = catalog._top_sampler(dist, 1_000_000 // 25, 200, 5)
+    assert nbytes > oracle._MC_WORK_BYTES
+    assert oracle._worker_count(25, nbytes) == 1
 
 
 def test_mc_guard_refuses_near_boundary():
