@@ -123,7 +123,6 @@ __all__ = [
     "quad_moment",
     "quad_joint_moment",
     "mc_top_order_stats",
-    "mc_third_cumulant",
     "convergence_rate_probe",
     "TypoEntry",
     "LEDGER",

@@ -74,7 +74,10 @@ def suffix_sums(theta: Sequence) -> tuple:
 def require_finite(alpha, s, theta, margin=0) -> None:
     """Refuse E prod X_{n,n-s_i}^theta_i when the upper tail makes it
     infinite: over nonincreasing depths s, it needs (s_i + 1) alpha to exceed
-    the suffix sum thetabar_i by more than ``margin`` at every depth."""
+    the suffix sum thetabar_i by more than ``margin`` at every depth; a nan
+    power is a ``ValueError``."""
+    if any(t != t for t in theta):
+        raise ValueError(f"theta must not be nan, got {tuple(theta)}")
     for si, tb in zip(s, suffix_sums(theta)):
         if not (si + 1) * alpha - tb > margin:
             raise InfiniteMomentError(

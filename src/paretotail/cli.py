@@ -30,6 +30,8 @@ from .expansion import (
 from .ledger import ledger_rows
 from .oracle import (
     _MC_MARGIN,
+    _depth_blocks,
+    _joint_cumulant,
     _quad,
     _require_moment,
     convergence_rate_probe,
@@ -67,11 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ``PARETOTAIL_SEED`` at this call, so a change to the environment holds
     from the next call on."""
     top, p_ver = _parsers()
-    raw = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+    raw = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
     try:
-        p_ver.set_defaults(seed=int(raw))
-    except ValueError:
-        raise SystemExit(_usage_error(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")) from None
+        p_ver.set_defaults(seed=_order(raw))
+    except argparse.ArgumentTypeError as exc:
+        raise SystemExit(_usage_error(f"{SEED_ENV_VAR} {exc}")) from None
     return top
 
 
@@ -112,7 +114,7 @@ def _parsers():
     p_ver.add_argument("--n", type=_int_list, required=True)
     p_ver.add_argument("--oracle", choices=("quad", "mc"), default="quad")
     p_ver.add_argument("--reps", type=int, default=1_000_000)
-    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--seed", type=_order)
     p_ver.add_argument("--imax", type=_order, default=2)
     p_ver.add_argument("--jmax", type=_order, default=1)
     add_format(p_ver)
@@ -225,10 +227,10 @@ def _require_mc_standard_error(dist: DistributionSpec, s, n_grid) -> None:
 
 def _verify_values(args, dist, s, n_grid):
     """(remainder order, rows of (n, expansion value, oracle value, oracle
-    floor)) for the joint cumulant of Y_{n,s_1}, ..., Y_{n,s_k}, k <= 3, cut
+    floor)) for the joint cumulant of Y_{n,s_1}, ..., Y_{n,s_k}, k <= 4, cut
     before its first omitted order, against the oracle's block moments."""
-    if len(s) > 3:
-        raise SystemExit(_usage_error("verify supports 1 to 3 depths in --s"))
+    if len(s) > 4:  # a 48^5 tensor rule would need about 2 GB per array
+        raise SystemExit(_usage_error("verify supports 1 to 4 depths in --s"))
     if args.oracle == "mc":
         _require_mc_standard_error(dist, s, n_grid)
     tail = tail_of(dist, max(args.jmax, 1))
@@ -236,8 +238,7 @@ def _verify_values(args, dist, s, n_grid):
     remainder = grid.remainder_order
     # strictly below the remainder, whose own terms' float orders may round down
     exp = grid.truncated(remainder - 1e-9)
-    # the 2^k - 1 depth blocks: the whole tuple, each depth, each pair
-    blocks = [s, s[:1], s[1:2], s[2:], s[:2], s[::2], s[1:]][: 2 ** len(s) - 1]
+    blocks = _depth_blocks(s)
     rows = []
     for n in n_grid:
         ev = exp.evaluate(n)[0]
@@ -246,7 +247,7 @@ def _verify_values(args, dist, s, n_grid):
             res = [
                 quad_moment(dist, n, *b, 1.0) if len(b) == 1
                 else quad_joint_moment(dist, n, *b, 1.0, 1.0) if len(b) == 2
-                else _quad(dist, n, b, (1.0,) * 3, 1e-8)
+                else _quad(dist, n, b, (1.0,) * len(b), 1e-8)
                 for b in blocks
             ]
             floor = 1e-9 if len(s) == 1 else 1e-8
@@ -254,13 +255,8 @@ def _verify_values(args, dist, s, n_grid):
             specs = [(b, (1.0,) * len(b)) for b in blocks]
             res = mc_top_order_stats(dist, n, specs, args.reps, args.seed)
             floor = 4.0 * res[0].std_error / norm
-        ov = res[0].value / norm
-        if len(s) == 2:
-            ov -= res[1].value * res[2].value / norm
-        elif len(s) == 3:
-            m123, m1, m2, m3, m12, m13, m23 = (r.value for r in res)
-            ov = (m123 - m1 * m23 - m2 * m13 - m3 * m12 + 2.0 * m1 * m2 * m3) / norm
-        rows.append((n, ev, ov, floor))
+        moment = dict(zip(blocks, (r.value for r in res)))
+        rows.append((n, ev, _joint_cumulant(s, moment.__getitem__) / norm, floor))
     return remainder, rows
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "quad_moment",
     "quad_joint_moment",
     "mc_top_order_stats",
-    "mc_third_cumulant",
     "convergence_rate_probe",
 ]
 
@@ -308,10 +307,10 @@ def quad_moment(
 
 
 def _quad(dist: DistributionSpec, n: int, s, theta, epsabs: float) -> OracleResult:
-    """E prod X_{n,n-s_i}^theta_i over one to three distinct depths: ties
-    are merged before the existence check (a two-sided law's X^0.5 X^0.5 is
-    X^1), then the Gauss-Jacobi rule runs, and adaptive quadrature when it
-    cannot confirm its accuracy; three depths have no adaptive fallback."""
+    """E prod X_{n,n-s_i}^theta_i over distinct depths: ties are merged
+    before the existence check (a two-sided law's X^0.5 X^0.5 is X^1), then
+    the Gauss-Jacobi rule runs, and adaptive quadrature when it cannot
+    confirm its accuracy; three or more depths have no adaptive fallback."""
     s, theta = merge_ties(s, theta)
     _require_moment(dist, n, s, theta)
     one_d = len(s) == 1
@@ -459,10 +458,10 @@ def _worker_count(batches: int, nbytes: int) -> int:
     return max(1, min(cpus, batches, _MC_WORK_BYTES // max(nbytes, 1)))
 
 
-def _per_batch(dist, n, smax, reps, seed, batches, reduce) -> list:
-    """``[reduce(x_0), ..., reduce(x_{batches - 1})]``, where the top block
-    x_b is a ``reps // batches`` x ``smax + 1`` array whose column s holds
-    X_{n,n-s}, drawn from stream (seed, b).
+def _per_batch(dist, n, smax, reps, seed, batches, reduce):
+    """The array of ``reduce(x_0), ..., reduce(x_{batches - 1})``, where the
+    top block x_b is a ``reps // batches`` x ``smax + 1`` array whose column
+    s holds X_{n,n-s}, drawn from stream (seed, b).
 
     A law with a quantile maps through it the top block of v_s = 1 -
     U_{n,n-s}, built from exponential spacings (never sorting n draws); one
@@ -470,7 +469,7 @@ def _per_batch(dist, n, smax, reps, seed, batches, reduce) -> list:
     The batches run on ``_worker_count`` threads that live for this call:
     the caller's and the others', each with its own sampler and under a copy
     of the caller's context, so that its ``np.errstate`` holds in all.  Each
-    result lands in its batch's slot, so the list is bit for bit that of
+    result lands in its batch's slot, so the array is bit for bit that of
     drawing the batches in order on one thread, and an error raised is that
     of the lowest failing batch, as on one thread.
     """
@@ -478,6 +477,8 @@ def _per_batch(dist, n, smax, reps, seed, batches, reduce) -> list:
         raise ValueError(f"reps must be >= 10000, got {reps}")
     if batches < 2:
         raise ValueError(f"a standard error needs batches >= 2, got {batches}")
+    if np is None:
+        _load_numpy()
     bsize = reps // batches
     if dist.has_numeric_quantile:
 
@@ -539,7 +540,7 @@ def _per_batch(dist, n, smax, reps, seed, batches, reduce) -> list:
             t.join()
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    return results
+    return np.array(results)
 
 
 def mc_top_order_stats(
@@ -557,8 +558,6 @@ def mc_top_order_stats(
     batch-mean standard errors; deterministic for fixed (seed, reps,
     batches), whatever the number of threads.
     """
-    if np is None:
-        _load_numpy()
     specs = [(tuple(s), tuple(t)) for s, t in specs]
     for s, t in specs:
         _require_moment(dist, n, s, t, _MC_MARGIN)
@@ -573,7 +572,7 @@ def mc_top_order_stats(
             row.append(prod.mean())
         return row
 
-    sums = np.array(_per_batch(dist, n, smax, reps, seed, batches, spec_means))
+    sums = _per_batch(dist, n, smax, reps, seed, batches, spec_means)
     bsize = reps // batches
     out = []
     for j in range(len(specs)):
@@ -583,34 +582,35 @@ def mc_top_order_stats(
     return out
 
 
-def mc_third_cumulant(
-    dist: DistributionSpec,
-    n: int,
-    s: tuple,
-    reps: int,
-    seed: int,
-    batches: int = 25,
-) -> OracleResult:
-    """Third joint cumulant of the normalized (Y_{ns1}, Y_{ns2}, Y_{ns3})
-    estimated per batch from sample moments."""
-    if np is None:
-        _load_numpy()
-    s1, s2, s3 = s
-    _require_moment(dist, n, (s1, s2, s3), (1.0, 1.0, 1.0), _MC_MARGIN)
-    alpha = tail_of(dist, 0).alpha
-    c0 = tail_of(dist, 0).c[0]
-    scale = (n * c0) ** (1.0 / alpha)
+def _block(s, mask) -> tuple:
+    return tuple(x for i, x in enumerate(s) if mask >> i & 1)
 
-    def kappa(x):
-        y1, y2, y3 = x[:, s1] / scale, x[:, s2] / scale, x[:, s3] / scale
-        m123 = (y1 * y2 * y3).mean()
-        m12, m13, m23 = (y1 * y2).mean(), (y1 * y3).mean(), (y2 * y3).mean()
-        m1, m2, m3 = y1.mean(), y2.mean(), y3.mean()
-        return m123 - m1 * m23 - m2 * m13 - m3 * m12 + 2.0 * m1 * m2 * m3
 
-    kappas = np.array(_per_batch(dist, n, max(s), reps, seed, batches, kappa))
-    se = float(kappas.std(ddof=1) / math.sqrt(batches))
-    return OracleResult(float(kappas.mean()), se, "mc", reps // batches * batches)
+def _depth_blocks(s) -> list:
+    """The 2^k - 1 nonempty sub-tuples of the depths s, whole tuple first."""
+    return [_block(s, mask) for mask in range(2 ** len(s) - 1, 0, -1)]
+
+
+def _joint_cumulant(s, moment):
+    """Joint cumulant of the variables at the depths s from ``moment(b)``,
+    the raw moment of each block b of ``_depth_blocks(s)``, by the
+    moment-cumulant recursion kappa(S) = m(S) - sum_B kappa(B) m(S \\ B) over
+    the proper subsets B of S that hold S's first element (McCullagh, *Tensor
+    Methods in Statistics*, 1987, ch. 2); it shares no code with the
+    expansion's cumulants."""
+
+    @functools.cache
+    def kappa(mask):
+        first = mask & -mask
+        rest = mask ^ first
+        out = moment(_block(s, mask))
+        sub = rest
+        while sub:  # B = first | sub over the proper subsets of the rest
+            sub = (sub - 1) & rest
+            out -= kappa(first | sub) * moment(_block(s, rest ^ sub))
+        return out
+
+    return kappa(2 ** len(s) - 1)
 
 
 def convergence_rate_probe(n_grid, diffs, floor: float = 1e-9) -> RateFit:

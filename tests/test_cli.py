@@ -98,12 +98,18 @@ def test_moments_infinite_exit_code():
     assert code == 3
 
 
+def test_moments_nan_power_is_a_usage_error(capsys):
+    code, out = run_cli(["moments", "--dist", "cauchy", "--s", "1", "--theta", "nan"])
+    assert (code, out) == (2, "")
+    assert "theta must not be nan" in capsys.readouterr().err
+
+
 def test_usage_exit_codes():
     code, _ = run_cli(["moments", "--dist", "nonsense", "--s", "2"])
     assert code == 2
     code, _ = run_cli(["no-such-command"])
     assert code == 2
-    code, _ = run_cli(["verify", "--dist", "cauchy", "--s", "4,3,2,1", "--n", "5,9,13"])
+    code, _ = run_cli(["verify", "--dist", "cauchy", "--s", "5,4,3,2,1", "--n", "5,9,13"])
     assert code == 2
 
 
@@ -114,6 +120,7 @@ def test_usage_exit_codes():
         ["moments", "--dist", "cauchy", "--s", "1", "--imax", "-1"],
         ["verify", "--dist", "cauchy", "--s", "1", "--n", "50,100,200", "--imax", "-1"],
         ["invert", "--dist", "cauchy", "--order", "-1"],
+        ["verify", "--dist", "pareto", "--s", "1", "--n", "10,20,40", "--seed", "-1"],
     ],
 )
 def test_negative_orders_name_their_flag(argv, capsys):
@@ -213,23 +220,38 @@ def test_verify_passes_differences_that_decay_faster(dist, s):
     assert doc["slope"] <= doc["expected_order"] + 0.5
 
 
-def test_verify_third_cumulant_oracle_is_exact_on_pareto():
-    # the Pareto block moments are beta ratios, so the k = 3 oracle column
-    # is the third cumulant of exact values, with Y = X / n^(1/alpha)
-    alpha, s = 3.0, (3, 2, 1)
-    code, out = run_cli(
-        ["verify", "--dist", "pareto(3)", "--s", "3,2,1", "--n", "20,40,80", "--format", "json"]
-    )
+def set_partitions(items):
+    """Every partition of the tuple items into blocks, each block in order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in set_partitions(rest):
+        yield [(first,)] + p
+        for i, block in enumerate(p):
+            yield p[:i] + [(first,) + block] + p[i + 1 :]
+
+
+@pytest.mark.parametrize("s", [(3, 2, 1), (7, 5, 3, 1)], ids=["3,2,1", "7,5,3,1"])
+def test_verify_third_cumulant_oracle_is_exact_on_pareto(s):
+    # the Pareto block moments are beta ratios, so the oracle column is the
+    # joint cumulant of exact values, with Y = X / n^(1/alpha), here summed
+    # over set partitions: sum_pi (-1)^(|pi|-1) (|pi|-1)! prod_B m(B)
+    alpha = 3.0
+    argv = ["verify", "--dist", "pareto(3)", "--s", ",".join(map(str, s))]
+    code, out = run_cli(argv + ["--n", "20,40,80", "--format", "json"])
     assert code == 0
     for row in json.loads(out)["rows"]:
         n = row["n"]
 
-        def m(*depths):
+        def m(depths):
             spec = RankSpec(n, tuple(n - d for d in depths))
             return joint_beta_moment(spec, (-1 / alpha,) * len(depths)) / n ** (len(depths) / alpha)
 
-        m1, m2, m3 = m(s[0]), m(s[1]), m(s[2])
-        kappa = m(*s) - m1 * m(s[1], s[2]) - m2 * m(s[0], s[2]) - m3 * m(s[0], s[1]) + 2 * m1 * m2 * m3
+        kappa = sum(
+            (-1) ** (len(p) - 1) * math.factorial(len(p) - 1) * math.prod(m(b) for b in p)
+            for p in set_partitions(s)
+        )
         assert float(row["oracle"]) == pytest.approx(kappa, rel=1e-9)
 
 
@@ -370,11 +392,12 @@ def test_run_reads_the_seed_env_var_on_every_call(monkeypatch):
     [["list-distributions"], ["verify", "--dist", "pareto", "--s", "1", "--n", "10,20,40"]],
 )
 def test_seed_env_var_that_is_not_an_integer_is_a_usage_error(monkeypatch, capsys, argv):
-    monkeypatch.setenv(SEED_ENV_VAR, "abc")
-    code, out = run_cli(argv)
-    assert (code, out) == (2, "")
-    err = capsys.readouterr().err
-    assert SEED_ENV_VAR in err and "'abc'" in err
+    for value in ("abc", "-1"):
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+        code, out = run_cli(argv)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert SEED_ENV_VAR in err and repr(value) in err
 
 
 def test_typos_schema():

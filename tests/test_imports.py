@@ -23,7 +23,6 @@ ORACLE_NAMES = (
     "OracleResult",
     "RateFit",
     "convergence_rate_probe",
-    "mc_third_cumulant",
     "mc_top_order_stats",
     "quad_joint_moment",
     "quad_moment",

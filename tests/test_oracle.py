@@ -27,7 +27,6 @@ from paretotail.oracle import (
     _adaptive_moment,
     _gauss_jacobi,
     convergence_rate_probe,
-    mc_third_cumulant,
     mc_top_order_stats,
     quad_joint_moment,
     quad_moment,
@@ -394,8 +393,6 @@ def test_mc_builds_the_kanter_table_once(monkeypatch):
     dist = parse_distribution("stable(0.7,-0.7)")
     mc_top_order_stats(dist, 50, [((4,), (1.0,))], reps=10_000, seed=2)
     assert calls == [0.7]
-    mc_third_cumulant(dist, 50, (5, 3, 1), reps=10_000, seed=2)
-    assert calls == [0.7, 0.7]
 
 
 @pytest.mark.parametrize("law", ["pareto(2)", "student_t(3)", "stable(0.7,-0.7)"])
@@ -409,12 +406,7 @@ def test_mc_results_do_not_depend_on_the_thread_count(monkeypatch, law):
         for count in (1, 2, 25):
             monkeypatch.setattr(oracle, "_worker_count", lambda batches, nbytes: count)
             threads = threading.active_count()
-            runs.append(
-                (
-                    mc_top_order_stats(dist, 50, specs, reps=10_000, seed=5),
-                    mc_third_cumulant(dist, 50, (5, 3, 1), reps=10_000, seed=5),
-                )
-            )
+            runs.append(mc_top_order_stats(dist, 50, specs, reps=10_000, seed=5))
             assert threading.active_count() == threads
     finally:
         sys.setswitchinterval(interval)
@@ -465,8 +457,6 @@ def test_mc_guard_refuses_near_boundary():
         mc_top_order_stats(dist, 50, [((1,), (1.97,))], reps=20_000, seed=1)
     with pytest.raises(ValueError):
         mc_top_order_stats(dist, 50, [((1,), (1.0,))], reps=100, seed=1)
-    with pytest.raises(ValueError):
-        mc_third_cumulant(dist, 50, (3, 2, 1), reps=10, seed=1)
     for batches in (0, 1):
         with pytest.raises(ValueError, match="batches"):
             mc_top_order_stats(dist, 50, [((1,), (1.0,))], 20_000, 1, batches)
@@ -481,38 +471,34 @@ def test_mc_determinism():
     assert a[0].value != c[0].value
 
 
-def test_mc_third_cumulant_pareto():
-    dist = parse_distribution("pareto(1)")
-    n = 200
-    res = mc_third_cumulant(dist, n, (3, 2, 1), reps=400_000, seed=20260823)
-    exact = 0.5 - (13.0 / 6.0) / n + 2.0 / n**2
-    # infinite-variance estimator; allow a generous bracket
-    assert abs(res.value - exact) <= 6 * res.std_error + 0.05
+def test_joint_cumulant_recursion():
+    rng = np.random.default_rng(7)
+    s = (5, 3, 2, 1, 0)
+    m = {b: rng.uniform(0.5, 2.0) for b in oracle._depth_blocks(s)}
+    assert oracle._depth_blocks((3, 2, 1)) == [
+        (3, 2, 1), (2, 1), (3, 1), (1,), (3, 2), (2,), (3,)
+    ]
+    assert oracle._joint_cumulant(s[:1], m.__getitem__) == m[(5,)]
+    m1, m2, m3 = m[(5,)], m[(3,)], m[(2,)]
+    kappa2 = m[(5, 3)] - m1 * m2
+    kappa3 = (
+        m[(5, 3, 2)] - m1 * m[(3, 2)] - m2 * m[(5, 2)] - m3 * m[(5, 3)]
+        + 2.0 * m1 * m2 * m3
+    )
+    assert oracle._joint_cumulant(s[:2], m.__getitem__) == pytest.approx(kappa2, rel=1e-14)
+    assert oracle._joint_cumulant(s[:3], m.__getitem__) == pytest.approx(kappa3, rel=1e-14)
+    # moments that factor over a split of the depths (two independent
+    # groups) have a zero joint cumulant, whatever the split
+    for k in range(2, 6):
+        for split in range(1, 2 ** k - 1):
+            left = {x for i, x in enumerate(s[:k]) if split >> i & 1}
 
+            def factored(b):
+                inner = tuple(x for x in b if x in left)
+                outer = tuple(x for x in b if x not in left)
+                return m.get(inner, 1.0) * m.get(outer, 1.0)
 
-def test_mc_third_cumulant_stable():
-    # the one-sided stable law has no quantile: its top blocks come from the
-    # sampler, and each batch's cumulant is that of one sample_top draw
-    dist = parse_distribution("stable(0.7,-0.7)")
-    n, reps, seed, batches = 50, 10_000, 11, 25
-    res = mc_third_cumulant(dist, n, (5, 3, 1), reps=reps, seed=seed)
-    tail = tail_of(dist, 0)
-    scale = (n * tail.c[0]) ** (1.0 / tail.alpha)
-    kappas = np.zeros(batches)
-    for b in range(batches):
-        x = sample_top(dist, make_rng(seed, b), reps // batches, n, 6)
-        y1, y2, y3 = x[:, 5] / scale, x[:, 3] / scale, x[:, 1] / scale
-        m1, m2, m3 = y1.mean(), y2.mean(), y3.mean()
-        kappas[b] = (
-            (y1 * y2 * y3).mean()
-            - m1 * (y2 * y3).mean()
-            - m2 * (y1 * y3).mean()
-            - m3 * (y1 * y2).mean()
-            + 2.0 * m1 * m2 * m3
-        )
-    assert res.method == "mc" and res.cost == reps
-    assert res.value == kappas.mean()
-    assert res.std_error == kappas.std(ddof=1) / math.sqrt(batches)
+            assert abs(oracle._joint_cumulant(s[:k], factored)) < 1e-12
 
 
 def test_rate_probe():
