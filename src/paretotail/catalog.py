@@ -1,10 +1,9 @@
 """Catalog of heavy-tailed distributions with tail models and samplers.
 
-Each law's example spec and parameter contract are one row of ``_LAWS``.
-Each law knows its Pareto-type tail coefficients; where a closed-form or
-numerically invertible CDF exists it also exposes quantiles and an exact
-sampler.  Capability flags are honest: the general stable law carries
-coefficients only, and only the one-sided positive case gets a sampler.
+Each law is one row of ``_LAWS``: its example and parameter contract, its
+Pareto-type tail coefficients, and its quantile and CDF where it has them.
+The capability flags are read from the row, and honest: the general stable
+law carries coefficients only, and only its one-sided case gets a sampler.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import CapabilityError, ParetoTailError, UnsupportedOrderError
 from .quantile import TailModel
@@ -35,34 +35,167 @@ def _integers(p) -> bool:
     return all(x == int(x) for x in p)
 
 
-# name: (example spec, parameter contract, check on the finite parameters);
+class _Law(NamedTuple):
+    """A catalog law; each function takes the law's parameters p first."""
+
+    example: tuple  # the example spec's parameters
+    contract: str  # the parameter contract, and its check on finite p
+    check: Callable
+    tail: Callable  # (p, k) -> (alpha, beta, [c_0, ..., c_k])
+    quantile: Callable | None = None  # (p, v) -> F^{-1}(1 - v), v float or array
+    cdf: Callable | None = None  # (p, x) -> F(x)
+    exact: bool = False  # whether the quantile is in closed form
+    two_sided: Callable = lambda p: False  # whether the support reaches below 0
+
+
+def _pareto_tail(p, k):
+    alpha = p[0] if p else 1.0
+    return alpha, alpha, [1.0] + [0.0] * k
+
+
+def _cauchy_tail(p, k):
+    return 1.0, 2.0, [(-1.0) ** i / ((2 * i + 1) * math.pi) for i in range(k + 1)]
+
+
+def _student_t_tail(p, k):
+    N = int(p[0])
+    gam = (N + 1) / 2
+    g_n = math.gamma(gam) / (math.sqrt(N * math.pi) * math.gamma(N / 2))
+    return float(N), 2.0, [
+        binomial_coefficient(-gam, i) * N ** (gam + i) * g_n / (N + 2 * i)
+        for i in range(k + 1)
+    ]
+
+
+def _f_tail(p, k):
+    # tail index N/2 with d_i carrying nu^{-i}: fixed points of the
+    # closed-form check 1 - F = (1 + nu x)^{-N/2} at M = 2
+    M, N = int(p[0]), int(p[1])
+    nu = M / N
+    gam = (M + N) / 2
+    h_mn = nu ** (-N / 2) / math.exp(
+        math.lgamma(M / 2) + math.lgamma(N / 2) - math.lgamma(gam)
+    )
+    return N / 2, 1.0, [
+        h_mn * binomial_coefficient(-gam, i) * nu ** (-i) / (N / 2 + i)
+        for i in range(k + 1)
+    ]
+
+
+def _stable_tail(p, k):
+    alpha, gamma = p
+    return alpha, alpha, [
+        _stable_density_coeff(i + 1, alpha, gamma) / (alpha * (i + 1))
+        for i in range(k + 1)
+    ]
+
+
+def _stable_density_coeff(k: int, alpha: float, gamma: float) -> float:
+    """Coefficient of |x|^{-1-alpha*k} in the stable density for alpha < 1."""
+    return (
+        math.gamma(k * alpha + 1)
+        * ((-1.0) ** k / math.factorial(k))
+        * math.sin(k * math.pi * (gamma - alpha) / 2)
+        / math.pi
+    )
+
+
+def _frechet_tail(p, k):
+    return p[0], p[0], [(-1.0) ** i / math.factorial(i + 1) for i in range(k + 1)]
+
+
+def _cot(v):
+    """1 / tan(pi v), the Cauchy upper quantile.  It loses digits as v nears
+    1, where -_cot(1 - v) does not: 1 - v is exact above v = 1/2."""
+    return 1.0 / np.tan(np.pi * v)
+
+
+def _t_quantile(p, v):
+    N = int(p[0])
+    stdtrit = _special().stdtrit
+    deep = np.less(v, _T_DEEP_TAIL)
+    return _split(v, deep, lambda v: -stdtrit(N, v), lambda v: _t_deep_tail(N, v))
+
+
+def _t_deep_tail(N: int, v):
+    """Student t upper quantile sqrt(N (1/w - 1)), with w = N / (N + x^2) the
+    beta variable and ``betaincinv(N/2, 1/2, 2v)`` its inverse; +inf at
+    v = 0.  Accurate to rounding deep in the tail, but 4e-10 off ``stdtrit``
+    near v = 0.5 and slower, so used only below ``_T_DEEP_TAIL``."""
+    with np.errstate(divide="ignore"):
+        if N == 1:
+            # w ~ (pi v)^2 would underflow; t(1) is the Cauchy law
+            return _cot(v)
+        w = _special().betaincinv(N / 2, 0.5, 2.0 * v)
+        return np.sqrt(N * (1.0 / w - 1.0))
+
+
+def _f_quantile(p, v):
+    """(N / M) (1/w - 1) through the beta variable w = N / (N + M x), whose
+    lower-tail inverse ``betaincinv(N/2, M/2, v)`` stays accurate down to
+    v = 1e-300; above v = 1/2, (N / M) (1 - w) / w with 1 - w =
+    ``betaincinv(M/2, N/2, 1 - v)``, where 1 - v is exact."""
+    M, N = int(p[0]), int(p[1])
+    inv = _special().betaincinv
+
+    def upper_half(v):
+        return (N / M) * (1.0 / inv(N / 2, M / 2, v) - 1.0)
+
+    def lower_half(v):
+        z = inv(M / 2, N / 2, 1.0 - v)
+        return (N / M) * z / (1.0 - z)
+
+    return _split(v, np.greater(v, 0.5), upper_half, lower_half)
+
+
+def _split(v, where, f, g):
+    """f(v), but g(v) where ``where`` holds; v a float or an array."""
+    if np.ndim(v) == 0:
+        return g(v) if where else f(v)
+    v = np.asarray(v)
+    x = np.empty(v.shape)
+    x[~where], x[where] = f(v[~where]), g(v[where])
+    return x
+
+
 # stable needs gamma < alpha, since gamma = alpha leaves no upper Pareto tail
 _LAWS = {
-    "pareto": (
-        "pareto(1)",
-        "at most one parameter alpha > 0",
+    "pareto": _Law(
+        (1.0,), "at most one parameter alpha > 0",
         lambda p: len(p) <= 1 and all(x > 0 for x in p),
+        _pareto_tail, lambda p, v: np.power(v, -1.0 / (p[0] if p else 1.0)),
+        lambda p, x: 1.0 - x ** -(p[0] if p else 1.0) if x >= 1.0 else 0.0,
+        exact=True,
     ),
-    "cauchy": ("cauchy", "no parameters", lambda p: not p),
-    "student_t": (
-        "student_t(3)",
-        "one integer parameter N >= 1",
+    "cauchy": _Law(
+        (), "no parameters", lambda p: not p,
+        _cauchy_tail,
+        lambda p, v: _split(v, np.greater(v, 0.5), _cot, lambda v: -_cot(1.0 - v)),
+        lambda p, x: 0.5 + math.atan(x) / math.pi,
+        exact=True, two_sided=lambda p: True,
+    ),
+    "student_t": _Law(
+        (3.0,), "one integer parameter N >= 1",
         lambda p: len(p) == 1 and p[0] >= 1 and _integers(p),
+        _student_t_tail, _t_quantile, lambda p, x: float(_special().stdtr(p[0], x)),
+        two_sided=lambda p: True,
     ),
-    "f_dist": (
-        "f_dist(2,6)",
-        "integer parameters (M >= 1, N > 2)",
+    "f_dist": _Law(
+        (2.0, 6.0), "integer parameters (M >= 1, N > 2)",
         lambda p: len(p) == 2 and p[0] >= 1 and p[1] > 2 and _integers(p),
+        _f_tail, _f_quantile,
+        lambda p, x: float(_special().fdtr(*p, x)) if x > 0 else 0.0,
     ),
-    "stable": (
-        "stable(0.5,-0.5)",
+    "stable": _Law(
+        (0.5, -0.5),
         "parameters (alpha, gamma) with 0 < alpha < 1, -alpha <= gamma < alpha",
         lambda p: len(p) == 2 and 0 < p[0] < 1 and -p[0] <= p[1] < p[0],
+        _stable_tail, two_sided=lambda p: p[1] != -p[0],
     ),
-    "frechet": (
-        "frechet(1)",
-        "one parameter alpha > 0",
-        lambda p: len(p) == 1 and p[0] > 0,
+    "frechet": _Law(
+        (1.0,), "one parameter alpha > 0", lambda p: len(p) == 1 and p[0] > 0,
+        _frechet_tail, lambda p, v: (-np.log1p(-v)) ** (-1.0 / p[0]),
+        lambda p, x: math.exp(-(x ** (-p[0]))) if x > 0 else 0.0, exact=True,
     ),
 }
 CATALOG_NAMES = tuple(_LAWS)
@@ -78,10 +211,9 @@ _KANTER_TINY = 1e-200
 # from v = 1e-165, -inf from 1e-250); the beta inversion keeps it
 _T_DEEP_TAIL = 1e-150
 
-# numpy and scipy.special are bound on the first call that needs them, so
+# numpy and scipy.special are loaded on the first call that needs them, so
 # that tail coefficients and everything built on them load neither.
 np = None
-special = None
 
 
 def _load_numpy() -> None:
@@ -89,9 +221,11 @@ def _load_numpy() -> None:
     import numpy as np
 
 
-def _load_special() -> None:
-    global special
+@functools.cache
+def _special():
     from scipy import special
+
+    return special
 
 
 @dataclass(frozen=True)
@@ -110,36 +244,38 @@ class DistributionSpec:
             raise ValueError(f"{self.name} needs real parameters, got {p}") from None
         if not finite:
             raise ValueError(f"{self.name} needs finite parameters, got {p}")
-        _, contract, check = _LAWS[self.name]
-        if not check(p):
-            raise ValueError(f"{self.name} needs {contract}, got {p}")
+        law = _LAWS[self.name]
+        if not law.check(p):
+            raise ValueError(f"{self.name} needs {law.contract}, got {p}")
 
     @property
     def has_exact_quantile(self) -> bool:
-        return self.name in ("pareto", "cauchy", "frechet")
+        return _LAWS[self.name].exact
 
     @property
     def has_numeric_quantile(self) -> bool:
-        return self.has_exact_quantile or self.name in ("student_t", "f_dist")
+        return _LAWS[self.name].quantile is not None
 
     @property
     def two_sided(self) -> bool:
         """Whether the support reaches below 0."""
-        if self.name == "stable":
-            return self.params[1] != -self.params[0]
-        return self.name in ("cauchy", "student_t")
+        return _LAWS[self.name].two_sided(self.params)
 
     @property
     def has_sampler(self) -> bool:
-        if self.name == "stable":
-            return self.params[1] == -self.params[0]
-        return True
+        """Inverse-CDF where there is a quantile, else Kanter's if one-sided."""
+        return self.has_numeric_quantile or not self.two_sided
 
     def __str__(self):
         if not self.params:
             return self.name
-        inner = ",".join(format(p, "g") for p in self.params)
-        return f"{self.name}({inner})"
+        return f"{self.name}({','.join(map(_shortest, self.params))})"
+
+
+def _shortest(x) -> str:
+    """x in ``g`` form where that reads back as x, else in full."""
+    text = format(float(x), "g")
+    return text if float(text) == x else repr(float(x))
 
 
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
@@ -151,9 +287,7 @@ def parse_distribution(text: str) -> DistributionSpec:
     if not m:
         raise ValueError(f"cannot parse distribution spec {text!r}")
     name, args = m.group(1), m.group(2)
-    params = ()
-    if args:
-        params = tuple(float(tok) for tok in args.split(","))
+    params = tuple(float(tok) for tok in args.split(",")) if args else ()
     return DistributionSpec(name, params)
 
 
@@ -177,7 +311,7 @@ def _tail_model(dist: DistributionSpec, param_types: tuple, order: int) -> TailM
             f"catalog tail coefficients stop at order {MAX_TAIL_ORDER}"
         )
     try:
-        alpha, beta, c = _tail_coefficients(dist.name, dist.params, order)
+        alpha, beta, c = _LAWS[dist.name].tail(dist.params, order)
     except OverflowError:
         c = None
     if c is None or not all(math.isfinite(ci) for ci in c):
@@ -185,128 +319,21 @@ def _tail_model(dist: DistributionSpec, param_types: tuple, order: int) -> TailM
     return TailModel(alpha, beta, FormalSeries(c))
 
 
-def _tail_coefficients(name: str, p: tuple, order: int) -> tuple:
-    """(alpha, beta, [c_0, ..., c_order]) of a catalog law."""
-    if name == "pareto":
-        alpha = p[0] if p else 1.0
-        return alpha, alpha, [1.0] + [0.0] * order
-    if name == "cauchy":
-        c = [(-1.0) ** i / ((2 * i + 1) * math.pi) for i in range(order + 1)]
-        return 1.0, 2.0, c
-    if name == "student_t":
-        N = int(p[0])
-        gam = (N + 1) / 2
-        g_n = math.gamma(gam) / (math.sqrt(N * math.pi) * math.gamma(N / 2))
-        c = [
-            binomial_coefficient(-gam, i) * N ** (gam + i) * g_n / (N + 2 * i)
-            for i in range(order + 1)
-        ]
-        return float(N), 2.0, c
-    if name == "f_dist":
-        # tail index N/2 with d_i carrying nu^{-i}: fixed points of the
-        # closed-form check 1 - F = (1 + nu x)^{-N/2} at M = 2
-        M, N = int(p[0]), int(p[1])
-        nu = M / N
-        gam = (M + N) / 2
-        h_mn = nu ** (-N / 2) / math.exp(
-            math.lgamma(M / 2) + math.lgamma(N / 2) - math.lgamma(gam)
-        )
-        c = [
-            h_mn * binomial_coefficient(-gam, i) * nu ** (-i) / (N / 2 + i)
-            for i in range(order + 1)
-        ]
-        return N / 2, 1.0, c
-    if name == "stable":
-        alpha, gamma = p
-        c = [
-            _stable_density_coeff(i + 1, alpha, gamma) / (alpha * (i + 1))
-            for i in range(order + 1)
-        ]
-        return alpha, alpha, c
-    if name == "frechet":
-        alpha = p[0]
-        c = [(-1.0) ** i / math.factorial(i + 1) for i in range(order + 1)]
-        return alpha, alpha, c
-    raise AssertionError(name)
-
-
-def _stable_density_coeff(k: int, alpha: float, gamma: float) -> float:
-    """Coefficient of |x|^{-1-alpha*k} in the stable density for alpha < 1."""
-    return (
-        math.gamma(k * alpha + 1)
-        * ((-1.0) ** k / math.factorial(k))
-        * math.sin(k * math.pi * (gamma - alpha) / 2)
-        / math.pi
-    )
-
-
 def upper_quantile(dist: DistributionSpec, v):
-    """F^{-1}(1 - v) evaluated stably for small v; accepts numpy arrays.
-
-    Student t and F go through ``scipy.special``: ``stdtrit`` for t, and for
-    F the beta variable w = N / (N + M x), whose lower-tail inverse
-    ``betaincinv(N/2, M/2, v)`` stays accurate down to v = 1e-300.  Below
-    v = 1e-150 the t quantile comes from its own beta variable (see
-    ``_t_deep_tail``).
-    """
+    """F^{-1}(1 - v) evaluated stably for small v; accepts numpy arrays."""
+    quantile = _LAWS[dist.name].quantile
+    if quantile is None:
+        raise CapabilityError(f"{dist} has no quantile function")
     if np is None:
         _load_numpy()
-    name, p = dist.name, dist.params
-    if name == "pareto":
-        alpha = p[0] if p else 1.0
-        return np.power(v, -1.0 / alpha)
-    if name == "cauchy":
-        return 1.0 / np.tan(np.pi * v)
-    if name == "frechet":
-        alpha = p[0]
-        return (-np.log1p(-v)) ** (-1.0 / alpha)
-    if special is None and name in ("student_t", "f_dist"):
-        _load_special()
-    if name == "student_t":
-        N = int(p[0])
-        x = -special.stdtrit(N, v)
-        deep = np.less(v, _T_DEEP_TAIL)
-        if deep.any():
-            if np.ndim(x) == 0:
-                return _t_deep_tail(N, v)
-            x[deep] = _t_deep_tail(N, np.asarray(v)[deep])
-        return x
-    if name == "f_dist":
-        M, N = int(p[0]), int(p[1])
-        w = special.betaincinv(N / 2, M / 2, v)
-        return (N / M) * (1.0 / w - 1.0)
-    raise CapabilityError(f"{dist} has no quantile function")
-
-
-def _t_deep_tail(N: int, v):
-    """Student t upper quantile sqrt(N (1/w - 1)), with w = N / (N + x^2) the
-    beta variable and ``betaincinv(N/2, 1/2, 2v)`` its inverse; +inf at
-    v = 0.  Accurate to rounding deep in the tail, but 4e-10 off ``stdtrit``
-    near v = 0.5 and slower, so used only below ``_T_DEEP_TAIL``."""
-    with np.errstate(divide="ignore"):
-        if N == 1:
-            # w ~ (pi v)^2 would underflow; t(1) is the Cauchy law
-            return 1.0 / np.tan(np.pi * v)
-        w = special.betaincinv(N / 2, 0.5, 2.0 * v)
-        return np.sqrt(N * (1.0 / w - 1.0))
+    return quantile(dist.params, v)
 
 
 def cdf(dist: DistributionSpec, x: float) -> float:
-    name, p = dist.name, dist.params
-    if name == "pareto":
-        alpha = p[0] if p else 1.0
-        return 1.0 - x ** (-alpha) if x >= 1.0 else 0.0
-    if name == "cauchy":
-        return 0.5 + math.atan(x) / math.pi
-    if name == "frechet":
-        return math.exp(-(x ** (-p[0]))) if x > 0 else 0.0
-    if special is None and name in ("student_t", "f_dist"):
-        _load_special()
-    if name == "student_t":
-        return float(special.stdtr(int(p[0]), x))
-    if name == "f_dist":
-        return float(special.fdtr(int(p[0]), int(p[1]), x)) if x > 0 else 0.0
-    raise CapabilityError(f"{dist} has no CDF")
+    law_cdf = _LAWS[dist.name].cdf
+    if law_cdf is None:
+        raise CapabilityError(f"{dist} has no CDF")
+    return law_cdf(dist.params, x)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -318,24 +345,16 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def sample(dist: DistributionSpec, rng: np.random.Generator, size: int = 1):
-    """Draw ``size`` variates; inverse-CDF where a quantile exists."""
+    """Draw ``size`` variates: inverse-CDF where a quantile exists, else
+    (a one-sided law) by Kanter's representation of the positive stable law
+    with Laplace transform exp(-s^alpha), alpha the first parameter."""
+    if not dist.has_sampler:
+        raise CapabilityError(f"{dist} has no sampler: two-sided, with no quantile")
     if np is None:
         _load_numpy()
-    if dist.name == "stable":
-        if not dist.has_sampler:
-            raise CapabilityError(
-                f"{dist} has no sampler (only the one-sided case gamma = -alpha)"
-            )
-        return _sample_positive_stable(dist.params[0], rng, size)
-    if not dist.has_sampler:
-        raise CapabilityError(f"{dist} has no sampler")
-    v = rng.random(size)
-    return upper_quantile(dist, v)
-
-
-def _sample_positive_stable(alpha: float, rng: np.random.Generator, size: int):
-    """Kanter's representation of the positive stable law with Laplace
-    transform exp(-s^alpha)."""
+    if dist.has_numeric_quantile:
+        return upper_quantile(dist, rng.random(size))
+    alpha = dist.params[0]
     u = rng.random(size) * np.pi
     w = rng.exponential(1.0, size)
     return (_kanter(alpha, u) / w) ** ((1 - alpha) / alpha)
@@ -379,7 +398,7 @@ def _top_sampler(dist: DistributionSpec, reps: int, n: int, k: int):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if np is None:
         _load_numpy()
-    if dist.name != "stable" or not dist.has_sampler:
+    if dist.has_numeric_quantile or not dist.has_sampler:
 
         def sorted_draw(rng):
             return _top_of_rows(sample(dist, rng, (reps, n)), k)

@@ -204,11 +204,6 @@ def _cmd_moments(args, out) -> int:
     return 0
 
 
-def _normalization(dist: DistributionSpec, n: int, theta_total: float) -> float:
-    tail = tail_of(dist, 0)
-    return float(n * tail.c[0]) ** (theta_total / tail.alpha)
-
-
 def _require_mc_standard_error(dist: DistributionSpec, s, n_grid) -> None:
     """Refuse a Monte Carlo check whose product has an infinite second
     moment at some n of the grid: its batch standard error, and so the
@@ -242,12 +237,12 @@ def _verify_values(args, dist, s, n_grid):
     rows = []
     for n in n_grid:
         ev = exp.evaluate(n)[0]
-        norm = _normalization(dist, n, 1.0) ** len(s)
+        norm = (float(n * tail.c[0]) ** (1.0 / tail.alpha)) ** len(s)
         if args.oracle == "quad":
             res = [
                 quad_moment(dist, n, *b, 1.0) if len(b) == 1
                 else quad_joint_moment(dist, n, *b, 1.0, 1.0) if len(b) == 2
-                else _quad(dist, n, b, (1.0,) * len(b), 1e-8)
+                else _quad(dist, n, b, (1.0,) * len(b))
                 for b in blocks
             ]
             floor = 1e-9 if len(s) == 1 else 1e-8
@@ -308,25 +303,12 @@ def _cmd_typos(args, out) -> int:
 
 def _cmd_list(args, out) -> int:
     rows = []
-    for name, (example, _, _) in _LAWS.items():
-        d = parse_distribution(example)
-        rows.append(
-            (
-                name,
-                example,
-                int(d.has_exact_quantile),
-                int(d.has_numeric_quantile),
-                int(d.has_sampler),
-            )
-        )
-    payload = {"command": "list-distributions"}
-    _emit(
-        args,
-        payload,
-        ("name", "example", "exact_quantile", "numeric_quantile", "sampler"),
-        rows,
-        out,
-    )
+    for name, law in _LAWS.items():
+        d = DistributionSpec(name, law.example)
+        flags = (d.has_exact_quantile, d.has_numeric_quantile, d.has_sampler)
+        rows.append((name, str(d), *map(int, flags)))
+    columns = ("name", "example", "exact_quantile", "numeric_quantile", "sampler")
+    _emit(args, {"command": "list-distributions"}, columns, rows, out)
     return 0
 
 

@@ -55,9 +55,10 @@ _MC_MARGIN = 0.05
 # Gauss-Jacobi node ladder: nodes per coordinate of the two rules of each
 # rung; the second rule is accepted when the two agree
 _GJ_LADDER = ((16, 24), (32, 48))
-# relative tolerances of the 1-D and 2-D oracles, adaptive or Gauss-Jacobi
-_EPSREL_1D = 1e-11
-_EPSREL_2D = 1e-9
+# absolute and relative tolerances of the oracles over one depth and over
+# more, adaptive or Gauss-Jacobi: each asks max(epsabs, epsrel |I|)
+_EPSABS_1D, _EPSREL_1D = 1e-10, 1e-11
+_EPSABS_2D, _EPSREL_2D = 1e-8, 1e-9
 # Gauss-Jacobi rules kept per process, about 1 kB each
 _JACOBI_CACHE_SIZE = 1024
 # gap denominators kept per process, one per (alpha, beta)
@@ -297,16 +298,14 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
     return None, nodes
 
 
-def quad_moment(
-    dist: DistributionSpec, n: int, s: int, theta: float, epsabs: float = 1e-10
-) -> OracleResult:
+def quad_moment(dist: DistributionSpec, n: int, s: int, theta: float) -> OracleResult:
     """E X_{n,n-s}^theta against the beta density: the tensor Gauss-Jacobi
     rule, or adaptive quadrature when the rule cannot confirm its accuracy
-    to max(epsabs, 1e-11 |I|)."""
-    return _quad(dist, n, (s,), (theta,), epsabs)
+    to max(1e-10, 1e-11 |I|)."""
+    return _quad(dist, n, (s,), (theta,))
 
 
-def _quad(dist: DistributionSpec, n: int, s, theta, epsabs: float) -> OracleResult:
+def _quad(dist: DistributionSpec, n: int, s, theta) -> OracleResult:
     """E prod X_{n,n-s_i}^theta_i over distinct depths: ties are merged
     before the existence check (a two-sided law's X^0.5 X^0.5 is X^1), then
     the Gauss-Jacobi rule runs, and adaptive quadrature when it cannot
@@ -314,20 +313,19 @@ def _quad(dist: DistributionSpec, n: int, s, theta, epsabs: float) -> OracleResu
     s, theta = merge_ties(s, theta)
     _require_moment(dist, n, s, theta)
     one_d = len(s) == 1
-    res, nodes = _gauss_jacobi(
-        dist, n, s, theta, epsabs, _EPSREL_1D if one_d else _EPSREL_2D
-    )
+    tol = (_EPSABS_1D, _EPSREL_1D) if one_d else (_EPSABS_2D, _EPSREL_2D)
+    res, nodes = _gauss_jacobi(dist, n, s, theta, *tol)
     if res is None and len(s) > 2:
         raise ParetoTailError(f"no Gauss-Jacobi rule confirms {dist} at n={n}, s={s}")
     if res is None:
         adaptive = _adaptive_moment if one_d else _adaptive_joint_moment
-        res = adaptive(dist, n, *s, *theta, epsabs)
+        res = adaptive(dist, n, *s, *theta)
         res = replace(res, cost=res.cost + nodes)
     return res
 
 
 def _adaptive_moment(
-    dist: DistributionSpec, n: int, s: int, theta: float, epsabs: float = 1e-10
+    dist: DistributionSpec, n: int, s: int, theta: float
 ) -> OracleResult:
     """E X_{n,n-s}^theta by adaptive quadrature against the beta density."""
     alpha = tail_of(dist, 0).alpha
@@ -366,12 +364,12 @@ def _adaptive_moment(
         integrand_w,
         0.0,
         cut ** (1.0 / p),
-        epsabs=epsabs / 2,
+        epsabs=_EPSABS_1D / 2,
         epsrel=_EPSREL_1D,
         limit=400,
     )
     hi, err_hi = quad(
-        integrand_v, cut, 1.0, epsabs=epsabs / 2, epsrel=_EPSREL_1D, limit=400
+        integrand_v, cut, 1.0, epsabs=_EPSABS_1D / 2, epsrel=_EPSREL_1D, limit=400
     )
     value = _finite(lo + hi, dist, n, s, theta)
     return OracleResult(value, 0.0, "quad1d", evals, err_lo + err_hi)
@@ -384,13 +382,12 @@ def quad_joint_moment(
     s2: int,
     theta1: float,
     theta2: float,
-    epsabs: float = 1e-8,
 ) -> OracleResult:
     """E X_{n,n-s1}^theta1 X_{n,n-s2}^theta2 for s1 > s2 (ties delegate to
     the 1-D oracle): the tensor Gauss-Jacobi rule, or nested adaptive
     quadrature over the ordered triangle when the rule cannot confirm its
-    accuracy to max(epsabs, 1e-9 |I|)."""
-    return _quad(dist, n, (s1, s2), (theta1, theta2), epsabs)
+    accuracy to max(1e-8, 1e-9 |I|)."""
+    return _quad(dist, n, (s1, s2), (theta1, theta2))
 
 
 def _adaptive_joint_moment(
@@ -400,7 +397,6 @@ def _adaptive_joint_moment(
     s2: int,
     theta1: float,
     theta2: float,
-    epsabs: float = 1e-8,
 ) -> OracleResult:
     """E X_{n,n-s1}^theta1 X_{n,n-s2}^theta2 by nested quadrature over the
     ordered triangle, for s1 > s2."""
@@ -429,7 +425,7 @@ def _adaptive_joint_moment(
                 * (1.0 - t) ** (gap - 1)
             )
 
-        val, _ = quad(f, 0.0, 1.0, epsabs=epsabs * 1e-3, epsrel=1e-10, limit=200)
+        val, _ = quad(f, 0.0, 1.0, epsabs=_EPSABS_2D * 1e-3, epsrel=1e-10, limit=200)
         return val
 
     def outer(w):
@@ -442,7 +438,7 @@ def _adaptive_joint_moment(
         log_w = (p_out * s1 + p_out - 1) * math.log(w) + (r1 - 1) * math.log1p(-v1)
         return q1**theta1 * inner(v1) * p_out * math.exp(log_w - log_b)
 
-    val, err = quad(outer, 0.0, 1.0, epsabs=epsabs, epsrel=_EPSREL_2D, limit=300)
+    val, err = quad(outer, 0.0, 1.0, epsabs=_EPSABS_2D, epsrel=_EPSREL_2D, limit=300)
     val = _finite(val, dist, n, (s1, s2), (theta1, theta2))
     return OracleResult(val, 0.0, "quad2d", evals, err)
 

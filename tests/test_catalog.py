@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretotail import catalog
 from paretotail.catalog import (
@@ -368,12 +369,89 @@ def test_inverse_cdf_samplers_match_cdf():
             assert got == pytest.approx(q, abs=4 / math.sqrt(len(draws))), text
 
 
+def examples():
+    """The example spec of every catalog row."""
+    return [DistributionSpec(name, law.example) for name, law in catalog._LAWS.items()]
+
+
+# besides the examples: other parameters, and the two-sided stable case
+MORE_SPECS = ("pareto(1.5)", "student_t(1)", "f_dist(3,5)", "stable(0.7,0.1)", "frechet(2)")
+
+
 def test_quantile_cdf_roundtrip():
-    for text in ("pareto(1.5)", "cauchy", "frechet(2)", "f_dist(3,5)"):
-        dist = parse_distribution(text)
+    specs = examples() + [parse_distribution(text) for text in MORE_SPECS]
+    for dist in filter(lambda d: d.has_numeric_quantile, specs):
         for u in (0.3, 0.9, 0.999):
             x = float(upper_quantile(dist, 1 - u))
-            assert cdf(dist, x) == pytest.approx(u, rel=1e-9)
+            assert cdf(dist, x) == pytest.approx(u, rel=1e-9), dist
+
+
+@pytest.mark.parametrize("text", [str(d) for d in examples()] + list(MORE_SPECS))
+def test_capability_flags_match_what_each_law_does(text):
+    dist = parse_distribution(text)
+    law = catalog._LAWS[dist.name]
+    try:
+        q = upper_quantile(dist, 0.999)
+    except CapabilityError:
+        q = None
+    assert dist.has_numeric_quantile == (q is not None)
+    assert (law.cdf is None) == (law.quantile is None)
+    if law.cdf is None:
+        with pytest.raises(CapabilityError):
+            cdf(dist, 1.0)
+    assert not dist.has_exact_quantile or dist.has_numeric_quantile
+    try:
+        draws = sample(dist, make_rng(1), 1000)
+    except CapabilityError:
+        draws = None
+    assert dist.has_sampler == (draws is not None)
+    if q is not None:
+        assert dist.two_sided == (q < 0)
+    else:
+        # no quantile: sampled only when one-sided, and then never below 0
+        assert dist.two_sided == (draws is None)
+        assert draws is None or np.all(draws >= 0)
+
+
+def test_cauchy_and_f_quantiles_keep_their_digits_near_v_1():
+    # F(x) = 1 - v at 50 digits, independent of scipy; 1 - v is exact here
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for text in ("cauchy", "f_dist(2,6)", "f_dist(3,5)", "f_dist(1,4)"):
+            dist = parse_distribution(text)
+            v = 1 - np.logspace(-3, -12, 10)
+            x = upper_quantile(dist, v)
+            for vi, xi in zip(v, x):
+                e = 1 - mpmath.mpf(float(vi))
+                if text == "cauchy":
+                    want = mpmath.tan(mpmath.pi * (e - mpmath.mpf(0.5)))
+                else:
+                    # Newton steps on F(x) = I_y(M/2, N/2), y = M x / (M x + N)
+                    a, b = dist.params[0] / 2, dist.params[1] / 2
+                    y = mpmath.mpf(a * xi / (a * xi + b))
+                    for _ in range(8):
+                        f = mpmath.betainc(a, b, 0, y, regularized=True) - e
+                        y -= f * mpmath.beta(a, b) / (y ** (a - 1) * (1 - y) ** (b - 1))
+                    want = b * y / (a * (1 - y))
+                assert abs(xi / want - 1) <= 1e-14, (text, vi)
+                assert upper_quantile(dist, float(vi)) == xi
+    with np.errstate(divide="ignore"):
+        assert upper_quantile(parse_distribution("cauchy"), 1.0) == -math.inf
+    assert upper_quantile(parse_distribution("f_dist(2,6)"), 1.0) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-300, max_value=1e300), st.floats(1e-300, 1.0))
+def test_spec_text_round_trips(alpha, share):
+    # the shortest text that parses back: pareto(2.0000001) printed as
+    # pareto(2) named another law
+    for dist in (
+        DistributionSpec("pareto", (alpha,)),
+        DistributionSpec("stable", (share * 0.999, -share * 0.999)),
+    ):
+        assert parse_distribution(str(dist)) == dist
+    assert str(parse_distribution("pareto(2.0000001)")) == "pareto(2.0000001)"
+    assert str(DistributionSpec("pareto", (Fraction(3, 2),))) == "pareto(1.5)"
 
 
 def test_make_rng_streams():
@@ -385,43 +463,30 @@ def test_make_rng_streams():
 
 
 def test_catalog_names_round_trip():
-    for name in CATALOG_NAMES:
-        assert parse_distribution(str_default(name)).name == name
+    # every row's example prints as list-distributions shows it, and the
+    # text parses back to the same spec
+    texts = [str(d) for d in examples()]
+    assert [parse_distribution(t) for t in texts] == examples()
+    assert [parse_distribution(t).name for t in texts] == list(CATALOG_NAMES)
+    assert texts == [
+        "pareto(1)", "cauchy", "student_t(3)", "f_dist(2,6)", "stable(0.5,-0.5)", "frechet(1)"
+    ]
 
 
-def str_default(name):
-    defaults = {
-        "pareto": "pareto(1)",
-        "cauchy": "cauchy",
-        "student_t": "student_t(3)",
-        "f_dist": "f_dist(3,5)",
-        "stable": "stable(0.5,-0.5)",
-        "frechet": "frechet(1)",
-    }
-    return defaults[name]
-
-
-def test_tail_models_are_built_once_and_errors_are_not_cached(monkeypatch):
-    calls = []
-    coefficients = catalog._tail_coefficients
-
-    def counting(*args):
-        calls.append(args)
-        return coefficients(*args)
-
-    monkeypatch.setattr(catalog, "_tail_coefficients", counting)
+def test_tail_models_are_built_once_and_errors_are_not_cached():
     catalog._tail_model.cache_clear()
-    for name in CATALOG_NAMES:
-        dist = parse_distribution(catalog._LAWS[name][0])
+    for dist in examples():
         for k in (0, 3):
             assert tail_of(dist, k) is tail_of(dist, k)
-    assert len(calls) == 2 * len(CATALOG_NAMES)
+    assert catalog._tail_model.cache_info().misses == 2 * len(CATALOG_NAMES)
     for _ in range(2):
         with pytest.raises(UnsupportedOrderError):
             tail_of(DistributionSpec("cauchy"), 13)
         with pytest.raises(ParetoTailError, match="overflow"):
             tail_of(parse_distribution("student_t(400)"), 0)
-    assert catalog._tail_model.cache_info().maxsize is not None
+    info = catalog._tail_model.cache_info()
+    assert (info.misses, info.currsize) == (2 * len(CATALOG_NAMES) + 4, 2 * len(CATALOG_NAMES))
+    assert info.maxsize is not None
 
 
 def test_tail_models_keep_integer_and_float_parameters_apart():

@@ -190,7 +190,7 @@ def test_quad_three_depths_have_no_adaptive_fallback():
     # student_t(31) has gap 2/31: no rung confirms three depths at n = 100,
     # and the adaptive fallback integrates one or two
     with pytest.raises(ParetoTailError, match="no Gauss-Jacobi rule"):
-        oracle._quad(parse_distribution("student_t(31)"), 100, (3, 2, 1), (1.0, 1.0, 1.0), 1e-8)
+        oracle._quad(parse_distribution("student_t(31)"), 100, (3, 2, 1), (1.0, 1.0, 1.0))
 
 
 def _outcome(call):
@@ -209,7 +209,7 @@ def test_quad_cached_rules_give_the_cold_results(law):
         for call in (
             lambda: quad_moment(dist, n, 1, 1.0),
             lambda: quad_joint_moment(dist, n, 2, 1, 1.0, 1.0),
-            lambda: oracle._quad(dist, n, (3, 2, 1), (1.0, 1.0, 1.0), 1e-8),
+            lambda: oracle._quad(dist, n, (3, 2, 1), (1.0, 1.0, 1.0)),
         ):
             oracle._jacobi_coordinate.cache_clear()
             cold = _outcome(call)
@@ -548,9 +548,11 @@ def test_rate_probe_is_the_least_squares_line():
 
 
 def test_gap_denominator_is_the_lowest_terms_one():
-    examples = [example for example, _, _ in catalog._LAWS.values()]
-    for spec in examples + ["pareto(1.5)", "f_dist(3,5)", "stable(0.3,-0.3)", "frechet(0.7)"]:
-        tail = tail_of(parse_distribution(spec), 0)
+    examples = [DistributionSpec(name, law.example) for name, law in catalog._LAWS.items()]
+    for spec in ["pareto(1.5)", "f_dist(3,5)", "stable(0.3,-0.3)", "frechet(0.7)"]:
+        examples.append(parse_distribution(spec))
+    for dist in examples:
+        tail = tail_of(dist, 0)
         want = (Fraction(tail.beta) / Fraction(tail.alpha)).denominator
         assert oracle._gap_denominator(tail.alpha, tail.beta) == want
     assert oracle._gap_denominator.cache_info().maxsize is not None
