@@ -207,6 +207,12 @@ _TAIL_CACHE_SIZE = 256
 _KANTER_BINS = 2048
 _KANTER_SLACK = 1e-9
 _KANTER_TINY = 1e-200
+# the stable top-block sampler: its threshold leaves a row about k +
+# _TOP_SPARE (1 + sqrt(k)) draws above it, found in at most this many Newton
+# steps; tables kept per process, one per (alpha, n, k), about 100 kB each
+_TOP_SPARE = 3.5
+_TOP_NEWTON_STEPS = 30
+_TOP_CACHE_SIZE = 8
 # below this v, stdtrit loses the Student t upper tail (N = 3: a factor 2 off
 # from v = 1e-165, -inf from 1e-250); the beta inversion keeps it
 _T_DEEP_TAIL = 1e-150
@@ -376,24 +382,40 @@ def sample_top(
     """The ``k`` largest of ``n`` draws per row, ``reps`` rows, in descending
     order.
 
-    The numbers are those of sorting each row of ``sample(dist, rng, (reps,
-    n))``, from the same draws.  For the positive stable law, Kanter's
-    function is evaluated only on draws whose tabulated upper bound reaches
-    the row's k-th largest lower bound: any other draw lies below k draws
-    of its row, and the final power is increasing.
+    Equal in distribution to sorting each row of ``sample(dist, rng, (reps,
+    n))``; for a law with a quantile it is that sort, of the same draws.  For
+    the positive stable law, each row draws the few variates that can pass a
+    threshold, and all the others only when its k-th largest does not pass
+    it (see ``_top_sampler``).
     """
-    new_draw, _ = _top_sampler(dist, reps, n, k)
-    return new_draw()(rng)
+    return _top_sampler(dist, reps, n, k)[0](rng)
 
 
 def _top_sampler(dist: DistributionSpec, reps: int, n: int, k: int):
-    """``(new_draw, nbytes)`` for drawing many blocks of one shape, on one
-    thread or several: each ``new_draw()`` returns a function ``draw(rng)``,
-    equal to ``sample_top(dist, rng, reps, n, k)``, that works in its own
-    arrays of ``nbytes`` bytes.  The positive stable law's Kanter table is
-    built once, here, and only read by the draws; its ``reps x n`` work
-    arrays are allocated per ``new_draw()`` call and filled in place on each
-    draw.  Each draw returns a fresh array."""
+    """``(draw, nbytes)`` for drawing many blocks of one shape, on one thread
+    or several: ``draw(rng)`` is ``sample_top(dist, rng, reps, n, k)``, and
+    its arrays take at most about ``nbytes`` bytes at their peak.  Each draw
+    returns a fresh array.
+
+    The positive stable law draws X = (A(U)/W)^((1-alpha)/alpha), with U
+    uniform on (0, pi), W exponential and A Kanter's function.  In bin j of
+    the Kanter table A <= hi_j, so A/W can pass the threshold t only when W <
+    hi_j/t, with probability p_j = 1 - exp(-hi_j/t): such a draw is a
+    candidate.  Each row draws its count M ~ Binomial(n, mean p_j) of
+    candidates, their bins from the law proportional to p_j, U uniform in
+    the bin and W = -log1p(-e p_j), e uniform: the exponential cut at
+    hi_j/t.  Kanter's function is evaluated only on the candidates whose
+    upper bound hi_j/W reaches the row's k-th largest lower bound lo_j/W.
+    No other draw passes t, so a row whose k-th largest passes t is
+    complete; any other row also draws its n - M other draws, from bins
+    proportional to 1 - p_j and W = hi_j/t + Exp(1) by memorylessness.
+
+    A row thus draws about k + ``_TOP_SPARE`` (1 + sqrt(k)) candidates and
+    evaluates A on little more than k of them, plus every draw in the few
+    bins at the ends of (0, pi) whose bound is infinite or nearly so (4 of
+    2048 at alpha = 1/2).  Each ``(alpha, n, k)`` builds its table once per
+    process (``_top_table``), and the draws only read it.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if np is None:
@@ -403,47 +425,170 @@ def _top_sampler(dist: DistributionSpec, reps: int, n: int, k: int):
         def sorted_draw(rng):
             return _top_of_rows(sample(dist, rng, (reps, n)), k)
 
-        # the draws and their partitioned copy, made afresh by each draw
-        return (lambda: sorted_draw), 16 * reps * n
+        # the draws and their partitioned copy
+        return sorted_draw, 16 * reps * n
     alpha = dist.params[0]
+    tab = _top_table(alpha, n, k)
+
+    def top_of(rng, counts, j, w):
+        """Each row's k largest A/W, descending and padded with -inf, of its
+        ``counts`` draws, laid end to end, in bins j with exponentials w."""
+        width = max(counts.max(initial=0), k)
+        # each draw's place in a row-major rows x width array
+        first = np.arange(0, len(counts) * width, width) - np.cumsum(counts) + counts
+        at = np.repeat(first, counts)
+        at += np.arange(len(j))
+        dense = np.full((len(counts), width), -np.inf)
+        flat = dense.ravel()
+        bound = tab.bounds.take(j, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # w = 0 makes a lower bound inf or nan; nan sorts above every
+            # number, as a nan draw does, and a nan threshold keeps the row
+            bound /= w
+            flat[at] = bound[0]
+            dense.sort(axis=1)  # cheaper than a partition on short rows
+            keep = np.flatnonzero(~(bound[1] < dense[:, width - k].repeat(counts)))
+        u = rng.random(len(keep))
+        u += j.take(keep)
+        u *= np.pi / _KANTER_BINS  # uniform in its bin
+        dense.fill(-np.inf)
+        flat[at.take(keep)] = _kanter(alpha, u) / w.take(keep)
+        dense.sort(axis=1)
+        return dense[:, : -k - 1 : -1].copy()
+
+    def draw(rng):
+        m = tab.m0 + _alias_draw(tab.count, rng.random(reps))
+        r = rng.random((2, m.sum()))
+        j = _alias_draw(tab.cand, r[0])
+        w = np.log1p(np.multiply(r[1], tab.minus_p.take(j), out=r[1]), out=r[1])
+        top = top_of(rng, m, j, np.negative(w, out=w))
+        short = np.flatnonzero(~(top[:, -1] > tab.t))  # nan rows too
+        if len(short):
+            rest = n - m[short]
+            j = _alias_draw(tab.rest, rng.random(rest.sum()))
+            w = tab.bounds[1].take(j) * tab.s + rng.standard_exponential(len(j))
+            both = np.concatenate((top[short], top_of(rng, rest, j, w)), axis=1)
+            top[short] = _top_of_rows(both, k)
+        top **= (1 - alpha) / alpha  # X, increasing in A/W
+        return top
+
+    # bytes per candidate, or per draw of a row that falls short, with
+    # room for the spread of the counts
+    per_draw = 12 * 8
+    mean = -n * tab.minus_p.mean()
+    cands = reps * mean + 6 * math.sqrt(reps * mean) + reps * k
+    short_rows = reps * tab.p_short + 4 * math.sqrt(reps * tab.p_short) + 1
+    return draw, per_draw * (cands + short_rows * n)
+
+
+class _TopTable(NamedTuple):
+    """What the positive stable law's top-block draws of one (alpha, n, k)
+    read: the threshold t = 1/s on A/W; the Kanter bounds lo and
+    hi as the rows of ``bounds``; each bin's candidate probability p, as -p;
+    alias tables of the candidate count M - ``m0``, and of the bins of a
+    candidate and of another draw; and a bound on the chance that a row
+    has fewer than k draws above t."""
+
+    t: float
+    s: float
+    bounds: object
+    minus_p: object
+    m0: int
+    count: tuple
+    cand: tuple
+    rest: tuple
+    p_short: float
+
+
+@functools.lru_cache(maxsize=_TOP_CACHE_SIZE)
+def _top_table(alpha: float, n: int, k: int) -> _TopTable:
+    """The table of ``_top_sampler`` for the positive stable law.  t is set
+    so that n mean(1 - exp(-lo_j/t)), a lower bound on the expected number
+    of draws above t, is k + ``_TOP_SPARE`` (1 + sqrt(k)); where no t gives
+    that many, t = 0 and every draw is a candidate."""
     lo, hi = _kanter_bounds(alpha)
+    target = k + _TOP_SPARE * (1.0 + math.sqrt(k))
+    s, p_short = math.inf, 0.0
+    if target < n * np.mean(lo > 0):
+        # in s = 1/t the count n mean(1 - exp(-lo s)) grows and is concave,
+        # so Newton's steps from below stay below the root
+        s = target / (n * lo.mean())
+        for _ in range(_TOP_NEWTON_STEPS):
+            e = np.exp(-lo * s)
+            short = target - n * (1.0 - e.mean())
+            if short <= 1e-3 * target:
+                break
+            s += short / (n * (lo * e).mean())
+        # bins with lo = 0 keep the chance below 1
+        p_short = float(_binomial_pmf(n, 1.0 - np.exp(-lo * s).mean())[:k].sum())
+    p = -np.expm1(-hi * s)
+    counts = _binomial_pmf(n, float(p.mean()))
+    m0, m1 = np.flatnonzero(counts)[[0, -1]]
+    return _TopTable(
+        1.0 / s, s, _frozen(np.stack((lo, hi))),
+        _frozen(-p), int(m0), _alias(counts[m0 : m1 + 1]), _alias(p),
+        _alias(1.0 - p), p_short,
+    )
 
-    def new_draw():
-        r, w, bounds = (np.empty((reps, n)) for _ in range(3))
-        j = np.empty((reps, n), np.intp)
-        mask = np.empty((reps, n), bool)
 
-        def draw(rng):
-            rng.random(out=r)  # u = r pi, as in sample
-            rng.standard_exponential(out=w)  # the draws of exponential(1.0)
-            # floor(r B) < B, exact; take with mode "raise" would write
-            # through a copy of out
-            np.multiply(r, _KANTER_BINS, out=bounds)
-            j[...] = bounds
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(np.take(lo, j, out=bounds, mode="clip"), w, out=bounds)
-                # w = 0 makes a lower bound inf or nan; nan sorts above every
-                # number, as a nan draw does, and a nan threshold keeps the
-                # whole row
-                bounds.partition(n - k, axis=1)
-                threshold = bounds[:, n - k, None].copy()
-                np.divide(np.take(hi, j, out=bounds, mode="clip"), w, out=bounds)
-            np.less(bounds, threshold, out=mask)
-            flat = np.flatnonzero(np.logical_not(mask, out=mask))
-            u = r.ravel()[flat] * np.pi
-            x = (_kanter(alpha, u) / w.ravel()[flat]) ** ((1 - alpha) / alpha)
-            # each row's candidates, left-aligned and padded with -inf
-            rows = flat // n
-            counts = np.bincount(rows, minlength=reps)
-            starts = np.cumsum(counts) - counts
-            dense = np.full((reps, counts.max(initial=k)), -np.inf)
-            dense[rows, np.arange(len(rows)) - starts[rows]] = x
-            return _top_of_rows(dense, k)
+def _binomial_pmf(n: int, p: float):
+    """P(Binomial(n, p) = m) for m = 0, ..., n; 0 where it underflows."""
+    m = np.arange(n + 1)
+    # log C(n, m) from the ratios C(n, m) / C(n, m - 1) = (n - m + 1) / m
+    log_c = np.concatenate(([0.0], np.cumsum(np.log((n - m[1:] + 1) / m[1:]))))
+    with np.errstate(divide="ignore"):  # p = 1 puts all the mass on n
+        log_q = np.multiply(n - m, np.log1p(-p), out=np.zeros(n + 1), where=m < n)
+        return np.exp(log_c + m * np.log(p) + log_q)
 
-        return draw
 
-    # u and w, the bounds, the bin index and the keep mask
-    return new_draw, (3 * 8 + 8 + 1) * reps * n
+def _alias(weights):
+    """Walker's alias table ``(keep, alias)`` of the law proportional to
+    ``weights`` over B bins (Walker, ACM TOMS 3, 1977): bin j is drawn with
+    probability (keep_j + the sum of 1 - keep_i over the bins i aliased to
+    j) / B.
+
+    Built in one vectorized sweep.  Scaled to mean 1, the light bins' (q <
+    1) deficits 1 - q lie end to end, as do the heavy bins' excesses q - 1.
+    A light bin aliases the heavy one whose excess holds the start of its
+    deficit.  Heavy bin j pays those deficits in full, and overshoots its
+    excess, which ends at E_j, by the end P_j >= E_j of the deficit that
+    straddles E_j; it keeps 1 - (P_j - E_j) and aliases heavy bin j + 1,
+    which pays that overshoot first.  An all-zero law, which is never drawn
+    from, gets the uniform table.
+    """
+    size = len(weights)
+    total = weights.sum()
+    q = weights * (size / total) if total > 0 else np.ones(size)
+    alias = np.arange(size)
+    light, heavy = np.flatnonzero(q < 1.0), np.flatnonzero(q >= 1.0)
+    if len(light) and len(heavy):  # else every q is 1 up to rounding
+        deficit = 1.0 - q[light]
+        ends = np.cumsum(deficit)
+        excess = np.cumsum(q[heavy] - 1.0)
+        to = np.searchsorted(excess, ends - deficit, "right")
+        # past the last excess only by rounding
+        alias[light] = heavy[np.minimum(to, len(heavy) - 1)]
+        straddle = np.minimum(np.searchsorted(ends, excess), len(ends) - 1)
+        q[heavy] = 1.0 - np.maximum(ends[straddle] - excess, 0.0)
+        alias[heavy[:-1]] = heavy[1:]
+    q[heavy[-1:]] = 1.0  # its excess ends at the total deficit
+    return _frozen(np.clip(q, 0.0, 1.0)), _frozen(alias)
+
+
+def _alias_draw(table, r):
+    """Bins drawn from an alias table, one per uniform in r, which it
+    overwrites: the integer part of r B picks the bin, its fraction whether
+    to keep it."""
+    keep, alias = table
+    r *= len(keep)
+    j = r.astype(np.intp)
+    r -= j
+    return np.where(r < keep.take(j), j, alias.take(j))
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
 
 
 def _top_of_rows(x, k: int):

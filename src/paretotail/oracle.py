@@ -3,13 +3,16 @@
 Nothing here reuses the expansion machinery.  Moments of top order
 statistics are computed by integrating quantiles against the exact
 multivariate beta density of uniform order statistics, or by simulating the
-top block of uniforms directly through exponential spacings (for a law with
-a sampler but no quantile, its own top block, through top-block samplers
-that share one Kanter table per call).  The Monte Carlo batches of one call
-run on one thread per usable CPU, at most one per batch, and only as many as
-keep their work arrays within ``_MC_WORK_BYTES`` together; the threads live
-for that call alone.  Each batch draws from its own stream and lands in its
-own slot, so a seeded result is bit for bit that of one thread.
+top block of uniforms directly through exponential spacings and mapping only
+the depths that are read through the quantile.  The one law with a sampler
+but no quantile, the one-sided stable law, draws its own top block, in
+O(k) work per replicate rather than O(n): Kanter's draws split exactly at a
+threshold that few of them pass (``catalog._top_sampler``).  The Monte Carlo
+batches of one call run on one thread per usable CPU, at most one per batch,
+and only as many as keep their work arrays within ``_MC_WORK_BYTES``
+together; the threads live for that call alone.  Each batch draws from its
+own stream and lands in its own slot, so a seeded result is bit for bit that
+of one thread.
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
 absorb the density's endpoint singularities exactly, with nodes and weights
@@ -64,7 +67,7 @@ _JACOBI_CACHE_SIZE = 1024
 # gap denominators kept per process, one per (alpha, beta)
 _GAP_CACHE_SIZE = 256
 # bytes of work arrays that the threads of one Monte Carlo call may hold
-# together: a shape too large for two runs on the caller's thread alone
+# together: a batch too large for two runs on the caller's thread alone
 _MC_WORK_BYTES = 64 << 20
 
 # numpy, scipy.integrate.quad and scipy.special.roots_jacobi are bound on
@@ -454,17 +457,19 @@ def _worker_count(batches: int, nbytes: int) -> int:
     return max(1, min(cpus, batches, _MC_WORK_BYTES // max(nbytes, 1)))
 
 
-def _per_batch(dist, n, smax, reps, seed, batches, reduce):
+def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     """The array of ``reduce(x_0), ..., reduce(x_{batches - 1})``, where the
-    top block x_b is a ``reps // batches`` x ``smax + 1`` array whose column
-    s holds X_{n,n-s}, drawn from stream (seed, b).
+    top block x_b is a ``reps // batches`` x ``len(depths)`` array whose
+    column i holds X_{n,n-s} at depth s = depths[i], drawn from stream
+    (seed, b).
 
-    A law with a quantile maps through it the top block of v_s = 1 -
-    U_{n,n-s}, built from exponential spacings (never sorting n draws); one
-    without draws through top-block samplers that share one Kanter table.
+    A law with a quantile maps through it, at the given depths only, the
+    top block of v_s = 1 - U_{n,n-s}, built from exponential spacings
+    (never sorting n draws); the one-sided stable law draws its top block
+    through ``catalog._top_sampler``, whose table every batch only reads.
     The batches run on ``_worker_count`` threads that live for this call:
-    the caller's and the others', each with its own sampler and under a copy
-    of the caller's context, so that its ``np.errstate`` holds in all.  Each
+    the caller's and the others', each under a copy of the caller's
+    context, so that its ``np.errstate`` holds in all.  Each
     result lands in its batch's slot, so the array is bit for bit that of
     drawing the batches in order on one thread, and an error raised is that
     of the lowest failing batch, as on one thread.
@@ -473,9 +478,13 @@ def _per_batch(dist, n, smax, reps, seed, batches, reduce):
         raise ValueError(f"reps must be >= 10000, got {reps}")
     if batches < 2:
         raise ValueError(f"a standard error needs batches >= 2, got {batches}")
+    bsize = reps // batches
+    if bsize < 1:
+        raise ValueError(f"reps={reps} leave no rows for each of {batches} batches")
     if np is None:
         _load_numpy()
-    bsize = reps // batches
+    smax = max(depths)
+    depths = list(depths)
     if dist.has_numeric_quantile:
 
         def block(rng):
@@ -486,13 +495,18 @@ def _per_batch(dist, n, smax, reps, seed, batches, reduce):
             for c in range(1, smax + 1):
                 tops[:, c] += tops[:, c - 1]
             total = rng.gamma(n - smax, 1.0, bsize) + tops[:, -1]
-            return upper_quantile(dist, tops / total[:, None])
+            return upper_quantile(dist, tops[:, depths] / total[:, None])
 
-        # the spacings, the uniforms and the quantiles with one temporary
-        new_draw, nbytes = (lambda: block), 4 * 8 * bsize * (smax + 1)
+        # the spacings and their total, and per depth read the uniforms and
+        # the quantile with its temporaries, six arrays where _split halves
+        # the uniforms
+        draw, nbytes = block, 8 * bsize * (smax + 2 + 7 * len(depths))
+        read = slice(None)
     else:
-        # column s = depth s
-        new_draw, nbytes = _top_sampler(dist, bsize, n, smax + 1)
+        # column s = depth s; every column is checked, since a non-finite
+        # draw displaces the finite ones below it
+        draw, nbytes = _top_sampler(dist, bsize, n, smax + 1)
+        read = depths
 
     results = [None] * batches
     errors = []  # (batch, exception); no batch is handed out after one
@@ -506,7 +520,6 @@ def _per_batch(dist, n, smax, reps, seed, batches, reduce):
     def work():
         b = -1  # an error before the first batch sorts first
         try:
-            draw = new_draw()
             for b in iter(claim, None):
                 x = draw(make_rng(seed, b))
                 if not np.all(np.isfinite(x)):
@@ -515,7 +528,7 @@ def _per_batch(dist, n, smax, reps, seed, batches, reduce):
                         f"non-finite values in batch {b}: the simulation "
                         "under- or overflowed"
                     )
-                results[b] = reduce(x)
+                results[b] = reduce(x[:, read])
         except Exception as exc:  # raised on the caller's thread below
             with lock:
                 errors.append((b, exc))
@@ -557,18 +570,19 @@ def mc_top_order_stats(
     specs = [(tuple(s), tuple(t)) for s, t in specs]
     for s, t in specs:
         _require_moment(dist, n, s, t, _MC_MARGIN)
-    smax = max(max(s) for s, _ in specs)
+    depths = sorted({si for s, _ in specs for si in s})
+    column = {si: i for i, si in enumerate(depths)}
 
-    def spec_means(x_by_s):
+    def spec_means(x):
         row = []
         for s, t in specs:
-            prod = np.ones(len(x_by_s))
+            prod = np.ones(len(x))
             for si, ti in zip(s, t):
-                prod = prod * x_by_s[:, si] ** ti
+                prod = prod * x[:, column[si]] ** ti
             row.append(prod.mean())
         return row
 
-    sums = _per_batch(dist, n, smax, reps, seed, batches, spec_means)
+    sums = _per_batch(dist, n, depths, reps, seed, batches, spec_means)
     bsize = reps // batches
     out = []
     for j in range(len(specs)):

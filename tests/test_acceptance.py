@@ -200,7 +200,8 @@ def test_third_cumulant_mc(verdict):
         y = x / n  # Y = X / (n c0)^(1/alpha), with c0 = alpha = 1
         return _joint_cumulant(s, lambda b: np.prod(y[:, list(b)], axis=1).mean())
 
-    kappas = _per_batch(parse_distribution("pareto"), n, max(s), 10_000_000, 20260823, batches, batch_kappa)
+    depths = range(max(s) + 1)  # column s = depth s
+    kappas = _per_batch(parse_distribution("pareto"), n, depths, 10_000_000, 20260823, batches, batch_kappa)
     two_term = float(k0) + float(k1) / n
     z = abs(kappas.mean() - two_term) / (kappas.std(ddof=1) / math.sqrt(batches))
     verdict(

@@ -278,37 +278,83 @@ def test_positive_stable_sampler_matches_levy():
 
 
 def sorted_top(dist, rng, reps, n, k):
-    """The k largest of each row of ``sample``, descending: what sample_top
-    must return bit for bit."""
+    """The k largest of each row of ``sample``, descending: a full draw and
+    a sort, the referee that sample_top must match in distribution."""
     with np.errstate(all="ignore"):
         draws = sample(dist, rng, (reps, n))
     return np.sort(np.partition(draws, n - k, axis=1)[:, n - k :], axis=1)[:, ::-1]
+
+
+def levy_top(rng, reps, n, k):
+    """The k largest of n draws of the positive stable law at alpha = 1/2,
+    the Levy law with survival erf(1/(2 sqrt(x))), descending and exact:
+    X_{n,n-s} = 1/(4 erfinv(v_s)^2), with v_s = 1 - U_{n,n-s} the sums of
+    the first s + 1 of n + 1 exponential spacings over their total."""
+    from scipy.special import erfinv
+
+    tops = rng.standard_exponential((reps, k)).cumsum(axis=1)
+    total = tops[:, -1] + rng.gamma(n - k + 1, 1.0, reps)
+    return 1.0 / (4.0 * erfinv(tops / total[:, None]) ** 2)
+
+
+def assert_same_law(got, want):
+    """A two-sample Kolmogorov-Smirnov test of each column at level 1e-4;
+    nan counts as +inf, above every number, where np.sort puts it."""
+    from scipy.stats import ks_2samp
+
+    assert got.shape[1] == want.shape[1]
+    for c in range(got.shape[1]):
+        a, b = (np.where(np.isnan(x[:, c]), np.inf, x[:, c]) for x in (got, want))
+        assert ks_2samp(a, b).pvalue > 1e-4, c
 
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+@pytest.fixture
+def fresh_top_tables():
+    """An empty cache of stable top-block tables, before and after."""
+    catalog._top_table.cache_clear()
+    yield
+    catalog._top_table.cache_clear()
+
+
 @pytest.mark.parametrize("alpha", [0.01, 0.15, 0.5, 0.9, 0.99])
 def test_sample_top_matches_sorted_sample(alpha):
-    # at 0.99 the sampler's powers underflow near u = 0 and some draws are
-    # inf or nan; those must come through as well
+    # equal in distribution to a full draw and a sort; at 0.01 most draws
+    # over- or underflow, and at 0.99 the sampler's powers underflow near
+    # u = 0 and some draws are inf or nan, which must come through as well
     dist = DistributionSpec("stable", (alpha, -alpha))
-    for n, k in ((1, 1), (5, 1), (5, 5), (200, 1), (200, 5)):
-        for seed in (1, 2, 3):
-            want = sorted_top(dist, make_rng(seed), 300, n, k)
-            with np.errstate(all="ignore"):
-                got = sample_top(dist, make_rng(seed), 300, n, k)
-            assert same_bits(got, want), (n, k, seed)
+    for n, k in ((1, 1), (5, 5), (200, 1), (200, 5)):
+        with np.errstate(all="ignore"):
+            got = sample_top(dist, make_rng(1), 10_000, n, k)
+        assert_same_law(got, sorted_top(dist, make_rng(2), 10_000, n, k))
+
+
+@pytest.mark.parametrize("n, k", [(5, 5), (50, 5), (200, 1), (200, 5), (10_000, 3)])
+def test_sample_top_matches_levy_order_statistics(n, k):
+    dist = parse_distribution("stable(0.5,-0.5)")
+    got = sample_top(dist, make_rng(1), 20_000, n, k)
+    assert np.all(np.diff(got, axis=1) <= 0)
+    assert_same_law(got, levy_top(np.random.default_rng(2), 20_000, n, k))
+
+
+@pytest.mark.parametrize("n, k", [(50, 5), (200, 3)])
+def test_sample_top_rows_short_of_the_threshold(monkeypatch, fresh_top_tables, n, k):
+    # with few spare candidates most rows have fewer than k draws above the
+    # threshold, and draw their other n - M variates as well
+    monkeypatch.setattr(catalog, "_TOP_SPARE", -0.5)
+    assert catalog._top_table(0.5, n, k).p_short > 0.5
+    got = sample_top(parse_distribution("stable(0.5,-0.5)"), make_rng(3), 10_000, n, k)
+    assert_same_law(got, levy_top(np.random.default_rng(4), 10_000, n, k))
 
 
 def test_top_sampler_draws_are_fresh_arrays():
-    # one sampler reuses its work arrays across draws; no result may be a
-    # view of them, so a later draw leaves an earlier result unchanged
+    # the draws of one sampler share its table; no result may be a view of
+    # another, so a later draw leaves an earlier result unchanged
     dist = parse_distribution("stable(0.5,-0.5)")
-    new_draw, nbytes = catalog._top_sampler(dist, 300, 50, 5)
-    assert nbytes == 33 * 300 * 50
-    draw = new_draw()
+    draw, _ = catalog._top_sampler(dist, 300, 50, 5)
     first = draw(make_rng(1))
     kept = first.copy()
     second = draw(make_rng(2))
@@ -316,6 +362,36 @@ def test_top_sampler_draws_are_fresh_arrays():
     assert same_bits(first, sample_top(dist, make_rng(1), 300, 50, 5))
     assert same_bits(second, sample_top(dist, make_rng(2), 300, 50, 5))
     assert not np.shares_memory(first, second)
+
+
+def test_top_tables_are_built_once_read_only_and_bounded(fresh_top_tables):
+    dist = parse_distribution("stable(0.5,-0.5)")
+    for _ in range(2):
+        catalog._top_sampler(dist, 100, 50, 5)
+    info = catalog._top_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert info.maxsize is not None
+    tab = catalog._top_table(0.5, 50, 5)
+    for a in (tab.bounds, tab.minus_p, *tab.count, *tab.cand, *tab.rest):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("n, spare", [(50, None), (200, None), (10_000, None), (200, -0.5)])
+def test_top_sampler_declares_its_peak_bytes(monkeypatch, fresh_top_tables, n, spare):
+    import tracemalloc
+
+    if spare is not None:
+        monkeypatch.setattr(catalog, "_TOP_SPARE", spare)
+    draw, nbytes = catalog._top_sampler(parse_distribution("stable(0.5,-0.5)"), 400, n, 5)
+    draw(make_rng(0))  # numpy's allocations on first use
+    for seed in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            draw(make_rng(seed))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= nbytes, seed
 
 
 def test_sample_top_other_laws_and_errors():
@@ -329,6 +405,9 @@ def test_sample_top_other_laws_and_errors():
 
 
 def test_sample_top_evaluates_few_draws(monkeypatch):
+    # Kanter's function runs on little more than k draws per row, plus the
+    # draws in the table's few unbounded bins: the same bound per row holds
+    # at n = 50 and at n = 10^4
     sizes = []
     kanter = catalog._kanter
 
@@ -338,9 +417,43 @@ def test_sample_top_evaluates_few_draws(monkeypatch):
 
     monkeypatch.setattr(catalog, "_kanter", counting)
     reps, k = 400, 5
-    sample_top(parse_distribution("stable(0.5,-0.5)"), make_rng(1), reps, 200, k)
-    table = catalog._KANTER_BINS + 1
-    assert sum(sizes) - table < 3 * k * reps
+    for n in (50, 10_000):
+        sizes.clear()
+        sample_top(parse_distribution("stable(0.5,-0.5)"), make_rng(1), reps, n, k)
+        assert k * reps <= sum(sizes) < 8 * k * reps, n
+
+
+def test_alias_tables_give_their_laws():
+    catalog._load_numpy()
+    rng = np.random.default_rng(5)
+    # np.full(7, 0.1) scales to just below 1 everywhere: no bin is heavy
+    laws = [np.ones(7), np.full(7, 0.1), np.array([3.0]), np.array([0.0, 2.0, 0.0]), np.zeros(4)]
+    laws += [rng.random(size) ** power for size, power in ((50, 1), (300, 8), (2048, 30))]
+    laws[-1][rng.random(2048) < 0.3] = 0.0
+    for w in laws:
+        keep, alias = catalog._alias(w)
+        # bin j keeps keep_j of its slot and takes 1 - keep_i of each bin i
+        # aliased to it
+        got = keep.copy()
+        np.add.at(got, alias, 1.0 - keep)
+        want = w / w.sum() if w.sum() > 0 else np.full(len(w), 1.0 / len(w))
+        np.testing.assert_allclose(got / len(w), want, rtol=1e-12, atol=1e-15)
+    keep, alias = catalog._alias(np.array([1.0, 0.0, 3.0]))
+    draws = catalog._alias_draw((keep, alias), rng.random(400_000))
+    np.testing.assert_allclose(np.bincount(draws, minlength=3) / 4e5, [0.25, 0, 0.75], atol=4e-3)
+
+
+def test_binomial_pmf():
+    from scipy.stats import binom
+
+    catalog._load_numpy()
+    for n, p in ((1, 0.3), (50, 0.33), (200, 0.085), (10_000, 0.0045)):
+        pmf = catalog._binomial_pmf(n, p)
+        want = binom.pmf(np.arange(n + 1), n, p)
+        big = want > 1e-300
+        np.testing.assert_allclose(pmf[big], want[big], rtol=1e-11)
+        assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
+    assert list(catalog._binomial_pmf(3, 1.0)) == [0.0, 0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.15, 0.5, 0.9, 0.99])

@@ -326,11 +326,23 @@ def test_mc_matches_quadrature():
 
 
 def test_mc_direct_sampling_path():
-    # the one-sided stable has a sampler but no quantile; the direct path
-    # must agree with the tail prediction roughly (loose check)
+    # the one-sided stable law has a sampler but no quantile; at alpha = 1/2
+    # it is the Levy law, whose quantile 1/(4 erfinv(v)^2) makes E X_{n,n-s}
+    # a one-dimensional integral against the beta law of v_s = 1 - U_{n,n-s}
+    from scipy import integrate, special, stats
+
     dist = DistributionSpec("stable", (0.5, -0.5))
-    res = mc_top_order_stats(dist, 30, [((0,), (0.2,))], reps=50_000, seed=3)
-    assert res[0].value > 0 and math.isfinite(res[0].value)
+    s = 4
+    for n in (50, 10_000):
+        v = stats.beta(s + 1, n - s)
+        want, err = integrate.quad(
+            lambda x: v.pdf(x) / (4.0 * special.erfinv(x) ** 2),
+            0.0, 1.0, points=v.ppf([1e-9, 0.5, 1 - 1e-9]), limit=200,
+        )
+        assert err <= 1e-8 * want
+        (res,) = mc_top_order_stats(dist, n, [((s,), (1.0,))], reps=50_000, seed=3)
+        assert abs(res.value - want) <= 4 * res.std_error, n
+        assert res.std_error < 0.05 * want
 
 
 @pytest.mark.filterwarnings("ignore")
@@ -381,6 +393,8 @@ def test_mc_stable_matches_sample_top_per_batch(alpha, n):
 
 
 def test_mc_builds_the_kanter_table_once(monkeypatch):
+    # one table per (alpha, n, k) and process, whatever the threads, reps
+    # or powers of the calls that read it
     calls = []
     bounds = catalog._kanter_bounds
 
@@ -391,8 +405,15 @@ def test_mc_builds_the_kanter_table_once(monkeypatch):
     monkeypatch.setattr(catalog, "_kanter_bounds", counting)
     monkeypatch.setattr(oracle, "_worker_count", lambda batches, nbytes: batches)
     dist = parse_distribution("stable(0.7,-0.7)")
-    mc_top_order_stats(dist, 50, [((4,), (1.0,))], reps=10_000, seed=2)
-    assert calls == [0.7]
+    catalog._top_table.cache_clear()
+    try:
+        mc_top_order_stats(dist, 50, [((4,), (1.0,))], reps=10_000, seed=2)
+        mc_top_order_stats(dist, 50, [((4,), (2.0,)), ((4, 1), (1.0, 1.0))], 20_000, 3)
+        assert calls == [0.7]
+        mc_top_order_stats(dist, 60, [((4,), (1.0,))], reps=10_000, seed=2)
+        assert calls == [0.7, 0.7]
+    finally:
+        catalog._top_table.cache_clear()
 
 
 @pytest.mark.parametrize("law", ["pareto(2)", "student_t(3)", "stable(0.7,-0.7)"])
@@ -416,8 +437,9 @@ def test_mc_results_do_not_depend_on_the_thread_count(monkeypatch, law):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("count", [1, 2, 25])
 def test_mc_names_the_lowest_failing_batch(monkeypatch, count):
-    # at seed 13 the top blocks of batches 7 and 18 under- or overflow;
-    # batch 7 is held back, so that on several threads batch 18 fails first
+    # at seed 13 the top blocks of batches 5, 6, 15, 16 and 24 under- or
+    # overflow; batch 5 is held back, so that on several threads a later
+    # one fails first
     dist = parse_distribution("stable(0.99,-0.99)")
     with np.errstate(all="ignore"):  # must reach every thread
         failing = [
@@ -425,17 +447,17 @@ def test_mc_names_the_lowest_failing_batch(monkeypatch, count):
             for b in range(25)
             if not np.all(np.isfinite(sample_top(dist, make_rng(13, b), 400, 1, 1)))
         ]
-        assert failing == [7, 18]
+        assert failing == [5, 6, 15, 16, 24]
         rng = oracle.make_rng
 
-        def late_batch_7(seed, stream):
-            if stream == 7:
+        def late_batch_5(seed, stream):
+            if stream == 5:
                 time.sleep(0.05)
             return rng(seed, stream)
 
-        monkeypatch.setattr(oracle, "make_rng", late_batch_7)
+        monkeypatch.setattr(oracle, "make_rng", late_batch_5)
         monkeypatch.setattr(oracle, "_worker_count", lambda batches, nbytes: count)
-        with pytest.raises(ParetoTailError, match=r"in batch 7:"):
+        with pytest.raises(ParetoTailError, match=r"in batch 5:"):
             mc_top_order_stats(dist, 1, [((0,), (0.2,))], reps=10_000, seed=13)
 
 
@@ -443,12 +465,49 @@ def test_mc_thread_count():
     cpus = len(os.sched_getaffinity(0))
     assert oracle._worker_count(25, 1000) == min(cpus, 25)
     assert oracle._worker_count(2, 1000) == min(cpus, 2)
-    # the CLI default, --reps 1000000 in 25 batches, at n = 200: one
-    # sampler's work arrays alone pass the byte budget
+    # a batch whose arrays alone pass the byte budget runs on the caller's
+    # thread, two that fit it together may share it
+    assert oracle._worker_count(25, oracle._MC_WORK_BYTES + 1) == 1
+    assert oracle._worker_count(25, oracle._MC_WORK_BYTES // 2) == min(cpus, 2)
+    # the stable sampler's arrays grow with its candidates per row, not with
+    # n: at the CLI default, --reps 1000000 in 25 batches
     dist = parse_distribution("stable(0.5,-0.5)")
-    _, nbytes = catalog._top_sampler(dist, 1_000_000 // 25, 200, 5)
-    assert nbytes > oracle._MC_WORK_BYTES
-    assert oracle._worker_count(25, nbytes) == 1
+    sizes = [catalog._top_sampler(dist, 1_000_000 // 25, n, 5)[1] for n in (50, 200, 2000)]
+    assert max(sizes) < 1.5 * min(sizes)
+
+
+@pytest.mark.parametrize(
+    "law, depths", [("pareto(2)", [3]), ("student_t(3)", [0, 1]), ("f_dist(3,5)", [1, 2, 4])]
+)
+def test_mc_spacings_path_declares_its_peak_bytes(monkeypatch, law, depths):
+    import tracemalloc
+
+    declared = []
+
+    def one_thread(batches, nbytes):
+        declared.append(nbytes)
+        return 1
+
+    monkeypatch.setattr(oracle, "_worker_count", one_thread)
+    # two batches of 20000 rows, drawn one after the other
+    args = (parse_distribution(law), 50, depths, 40_000, 1, 2, lambda x: x.sum(axis=0))
+    oracle._per_batch(*args)  # numpy's allocations on first use
+    tracemalloc.start()
+    try:
+        sums = oracle._per_batch(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (2, len(depths))
+    assert 0 < peak <= declared[-1]
+
+
+def test_mc_refuses_batches_with_no_rows():
+    dist = parse_distribution("pareto(2)")
+    with pytest.raises(ValueError, match="no rows"):
+        mc_top_order_stats(dist, 50, [((1,), (1.0,))], 10_000, 1, batches=10_001)
+    (res,) = mc_top_order_stats(dist, 50, [((1,), (1.0,))], 10_000, 1, batches=10_000)
+    assert math.isfinite(res.value) and res.cost == 10_000
 
 
 def test_mc_guard_refuses_near_boundary():
