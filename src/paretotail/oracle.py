@@ -16,13 +16,15 @@ of one thread.
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
 absorb the density's endpoint singularities exactly, with nodes and weights
-from ``scipy.special.roots_jacobi`` (weights rescaled to sum to 1), and fall
-back to nested adaptive ``quad`` when two rules of the node ladder do not
-agree or a rule comes out non-finite.  A rule depends only on its size and
-exponents, never on the law, so each (m, a, b, q) is built once per process
-and shared, read-only, by every law and block that asks for it.  A law's
-constants are built once per process too: its tail model (``tail_of``) and
-the denominator q of its gap beta/alpha that picks the rules' coordinate.
+from ``scipy.special.roots_jacobi`` (weights rescaled to sum to 1).  When no
+rung of the node ladder has two rules that agree, or a rule comes out
+non-finite, one or two depths fall back to one nested adaptive ``quad`` in
+the rule's own coordinates, and three or more are refused.  A rule depends
+only on its size and exponents, never on the law, so each (m, a, b, q) is
+built once per process and shared, read-only, by every law and block that
+asks for it.  A law's constants are built once per process too: its tail
+model (``tail_of``) and the denominator q of its gap beta/alpha that picks
+the rules' coordinate.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ __all__ = [
 _MC_MARGIN = 0.05
 # Gauss-Jacobi node ladder: nodes per coordinate of the two rules of each
 # rung; the second rule is accepted when the two agree
-_GJ_LADDER = ((16, 24), (32, 48))
+_GJ_LADDER = ((16, 24), (32, 48), (64, 96))
+# nodes of the largest tensor rule run (four depths at 48 nodes): a rung
+# with more is skipped, since each of its arrays holds that many floats
+_GJ_MAX_NODES = 48**4
 # absolute and relative tolerances of the oracles over one depth and over
 # more, adaptive or Gauss-Jacobi: each asks max(epsabs, epsrel |I|)
 _EPSABS_1D, _EPSREL_1D = 1e-10, 1e-11
@@ -104,8 +109,8 @@ class OracleResult:
     """An oracle value with its provenance: ``method`` is ``"gauss_jacobi"``,
     ``"quad1d"``, ``"quad2d"`` or ``"mc"``; ``cost`` counts integrand
     evaluations or simulated replicates; ``abserr`` is the quadrature's own
-    error estimate (the last rung's rule difference, or adaptive ``quad``'s
-    summed ``abserr``), and ``std_error`` the Monte Carlo one."""
+    error estimate (the last rung's rule difference, or the outer adaptive
+    ``quad``'s ``abserr``), and ``std_error`` the Monte Carlo one."""
 
     value: float
     std_error: float
@@ -233,15 +238,27 @@ def _frozen(x, w, log_c):
     return x, w, log_c
 
 
+def _coordinates(n: int, depths, powers, alpha: float):
+    """(psi, psibar, uppers, log_c) of the coordinates x_1 = V_{s_1}, x_{i+1}
+    = V_{s_{i+1}} / V_{s_i} (V_s = 1 - U_{n,n-s}) over strictly decreasing
+    depths: the density is exp(log_c) prod x_i^s_i (1-x_i)^(u_i-s_i-1), u =
+    ``uppers`` = (n, s_1, ...), and X_{n,n-s_i}^theta_i ~ V_{s_i}^-psi_i
+    leaves x_i the pole x_i^-psibar_i, psibar_i = psi_i + psi_{i+1} + ..."""
+    psi = [t / alpha for t in powers]
+    psibar = suffix_sums(psi)
+    uppers = (n,) + depths[:-1]
+    log_c = math.lgamma(n + 1) - math.lgamma(n - depths[0]) - math.lgamma(depths[-1] + 1)
+    log_c -= sum(math.lgamma(depths[i] - depths[i + 1]) for i in range(len(depths) - 1))
+    return psi, psibar, uppers, log_c
+
+
 def _gauss_jacobi_rule(dist, theta, psi, coords, log_c, q, m) -> float:
     """E prod X_{n,n-s_i}^theta_i by one tensor rule of m nodes per
-    coordinate, for strictly decreasing depths s.
+    coordinate of ``_coordinates``, for strictly decreasing depths s.
 
-    Coordinates v_1 = V_{s_1} and v_{i+1} = v_i t_i (V_s = 1 - U_{n,n-s})
-    factor the density into Jacobi weights v_1^(s_1 - sum psi)
-    (1-v_1)^(n-s_1-1) and t_i^(s_{i+1} - sum_{j>i} psi_j)
-    (1-t_i)^(s_i-s_{i+1}-1), which leave the integrand prod q(v_i)^theta_i
-    v_i^psi_i bounded.  ``coords`` holds each coordinate's Jacobi exponents
+    The Jacobi weights x_i^(s_i - psibar_i) (1-x_i)^(u_i-s_i-1) take the
+    poles, which leaves the integrand prod q(v_i)^theta_i v_i^psi_i bounded,
+    v_i = x_1 ... x_i.  ``coords`` holds each coordinate's Jacobi exponents
     (a, b) and ``log_c`` the log of the density's normalizing constant, both
     independent of m.
     """
@@ -262,8 +279,9 @@ def _gauss_jacobi_rule(dist, theta, psi, coords, log_c, q, m) -> float:
 def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
     """(result, nodes): E prod X_{n,n-s_i}^theta_i by the tensor Gauss-Jacobi
     rule over non-increasing depths s (ties are merged), as an OracleResult,
-    or None when no rung of ``_GJ_LADDER`` agrees within
-    max(epsabs, epsrel |I|); ``nodes`` counts the integrand nodes spent."""
+    or None when no rung of ``_GJ_LADDER`` within ``_GJ_MAX_NODES`` agrees
+    within max(epsabs, epsrel |I|); ``nodes`` counts the integrand nodes
+    spent."""
     if np is None:
         _load_numpy()
     if _roots_jacobi is None:
@@ -271,13 +289,9 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
     depths, powers = merge_ties(s, theta)
     k = len(depths)
     tail = tail_of(dist, 0)
-    psi = [t / tail.alpha for t in powers]
     q = _gap_denominator(tail.alpha, tail.beta)
-    psibar = suffix_sums(psi)
-    uppers = (n,) + depths[:-1]
+    psi, psibar, uppers, log_c = _coordinates(n, depths, powers, tail.alpha)
     coords = [(u - si - 1, si - pb) for u, si, pb in zip(uppers, depths, psibar)]
-    log_c = math.lgamma(n + 1) - math.lgamma(n - depths[0]) - math.lgamma(depths[-1] + 1)
-    log_c -= sum(math.lgamma(depths[i] - depths[i + 1]) for i in range(k - 1))
     nodes = 0
 
     def rule(m):
@@ -289,6 +303,8 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
     # overflowing integrand) stays non-finite with more nodes: fall back
     with np.errstate(all="ignore"):
         for m1, m2 in _GJ_LADDER:
+            if m2**k > _GJ_MAX_NODES:
+                break
             i1 = rule(m1)
             if not math.isfinite(i1):
                 break
@@ -301,9 +317,41 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
     return None, nodes
 
 
+def _adaptive(dist, n, s, theta, epsabs, epsrel) -> OracleResult:
+    """E prod X_{n,n-s_i}^theta_i over one or two strictly decreasing depths
+    by nested adaptive ``quad`` in the coordinates of ``_coordinates``, each
+    run in x_i = y^p_i, where ``_power_sub`` lifts the exponent s_i -
+    psibar_i of x_i above k - i - 1 (i from 0), so that inner integrals are
+    smooth in the outer y.  The outer integral asks max(epsabs, epsrel |I|),
+    the inner ones epsabs / 1000 and epsrel / 10.  A node whose v_i
+    underflows to 0 makes inf * 0, and the integral nan."""
+    k = len(s)
+    _, psibar, uppers, log_c = _coordinates(n, s, theta, tail_of(dist, 0).alpha)
+    subs = [_power_sub(si + 1 - pb, 1 + k - i) for i, (si, pb) in enumerate(zip(s, psibar))]
+    evals = 0
+
+    def integral(i, v, shift):
+        si, t, p, a = s[i], theta[i], subs[i], uppers[i] - s[i] - 1
+
+        def f(y):
+            nonlocal evals
+            evals += 1
+            x = y**p
+            g = float(upper_quantile(dist, v * x)) ** t * p * math.exp(
+                (p * si + p - 1) * math.log(y) + a * math.log1p(-x) + shift
+            )
+            return g if i == k - 1 else g * integral(i + 1, v * x, 0.0)[0]
+
+        tol = (epsabs, epsrel, 400) if i == 0 else (epsabs * 1e-3, epsrel / 10, 200)
+        return quad(f, 0.0, 1.0, epsabs=tol[0], epsrel=tol[1], limit=tol[2])
+
+    value, err = integral(0, 1.0, log_c)
+    return OracleResult(_finite(value, dist, n, s, theta), 0.0, f"quad{k}d", evals, err)
+
+
 def quad_moment(dist: DistributionSpec, n: int, s: int, theta: float) -> OracleResult:
     """E X_{n,n-s}^theta against the beta density: the tensor Gauss-Jacobi
-    rule, or adaptive quadrature when the rule cannot confirm its accuracy
+    rule, or the adaptive fallback when the rule cannot confirm its accuracy
     to max(1e-10, 1e-11 |I|)."""
     return _quad(dist, n, (s,), (theta,))
 
@@ -311,71 +359,18 @@ def quad_moment(dist: DistributionSpec, n: int, s: int, theta: float) -> OracleR
 def _quad(dist: DistributionSpec, n: int, s, theta) -> OracleResult:
     """E prod X_{n,n-s_i}^theta_i over distinct depths: ties are merged
     before the existence check (a two-sided law's X^0.5 X^0.5 is X^1), then
-    the Gauss-Jacobi rule runs, and adaptive quadrature when it cannot
-    confirm its accuracy; three or more depths have no adaptive fallback."""
+    the Gauss-Jacobi rule runs, and ``_adaptive`` when it cannot confirm its
+    accuracy; three or more depths have no adaptive fallback."""
     s, theta = merge_ties(s, theta)
     _require_moment(dist, n, s, theta)
-    one_d = len(s) == 1
-    tol = (_EPSABS_1D, _EPSREL_1D) if one_d else (_EPSABS_2D, _EPSREL_2D)
+    tol = (_EPSABS_1D, _EPSREL_1D) if len(s) == 1 else (_EPSABS_2D, _EPSREL_2D)
     res, nodes = _gauss_jacobi(dist, n, s, theta, *tol)
     if res is None and len(s) > 2:
         raise ParetoTailError(f"no Gauss-Jacobi rule confirms {dist} at n={n}, s={s}")
     if res is None:
-        adaptive = _adaptive_moment if one_d else _adaptive_joint_moment
-        res = adaptive(dist, n, *s, *theta)
+        res = _adaptive(dist, n, s, theta, *tol)
         res = replace(res, cost=res.cost + nodes)
     return res
-
-
-def _adaptive_moment(
-    dist: DistributionSpec, n: int, s: int, theta: float
-) -> OracleResult:
-    """E X_{n,n-s}^theta by adaptive quadrature against the beta density."""
-    alpha = tail_of(dist, 0).alpha
-    psi = theta / alpha
-    r = n - s
-    log_b = math.lgamma(r) + math.lgamma(s + 1) - math.lgamma(n + 1)
-    evals = 0
-
-    def weight(v):
-        return math.exp(s * math.log(v) + (r - 1) * math.log1p(-v) - log_b)
-
-    def integrand_v(v):
-        nonlocal evals
-        evals += 1
-        return float(upper_quantile(dist, v)) ** theta * weight(v)
-
-    p = _power_sub(s + 1 - psi)
-
-    def integrand_w(w):
-        nonlocal evals
-        evals += 1
-        v = w**p
-        q = float(upper_quantile(dist, v))
-        # v^s dv = p w^{p s + p - 1} dw, with the quantile singularity
-        # v^{-psi} pulled in through the same substitution
-        return (
-            q**theta
-            * p
-            * math.exp(
-                (p * s + p - 1) * math.log(w) + (r - 1) * math.log1p(-v) - log_b
-            )
-        )
-
-    cut = 0.5
-    lo, err_lo = quad(
-        integrand_w,
-        0.0,
-        cut ** (1.0 / p),
-        epsabs=_EPSABS_1D / 2,
-        epsrel=_EPSREL_1D,
-        limit=400,
-    )
-    hi, err_hi = quad(
-        integrand_v, cut, 1.0, epsabs=_EPSABS_1D / 2, epsrel=_EPSREL_1D, limit=400
-    )
-    value = _finite(lo + hi, dist, n, s, theta)
-    return OracleResult(value, 0.0, "quad1d", evals, err_lo + err_hi)
 
 
 def quad_joint_moment(
@@ -387,63 +382,10 @@ def quad_joint_moment(
     theta2: float,
 ) -> OracleResult:
     """E X_{n,n-s1}^theta1 X_{n,n-s2}^theta2 for s1 > s2 (ties delegate to
-    the 1-D oracle): the tensor Gauss-Jacobi rule, or nested adaptive
-    quadrature over the ordered triangle when the rule cannot confirm its
-    accuracy to max(1e-8, 1e-9 |I|)."""
+    the 1-D oracle): the tensor Gauss-Jacobi rule, or the nested adaptive
+    fallback when the rule cannot confirm its accuracy to max(1e-8, 1e-9
+    |I|)."""
     return _quad(dist, n, (s1, s2), (theta1, theta2))
-
-
-def _adaptive_joint_moment(
-    dist: DistributionSpec,
-    n: int,
-    s1: int,
-    s2: int,
-    theta1: float,
-    theta2: float,
-) -> OracleResult:
-    """E X_{n,n-s1}^theta1 X_{n,n-s2}^theta2 by nested quadrature over the
-    ordered triangle, for s1 > s2."""
-    alpha = tail_of(dist, 0).alpha
-    psi1, psi2 = theta1 / alpha, theta2 / alpha
-    r1 = n - s1
-    gap = s1 - s2
-    log_b = (
-        math.lgamma(r1) + math.lgamma(gap) + math.lgamma(s2 + 1) - math.lgamma(n + 1)
-    )
-    evals = 0
-    p_in = _power_sub(s2 + 1 - psi2)
-    p_out = _power_sub(s1 + 1 - psi1 - psi2, target=3.0)
-
-    def inner(v1):
-        # integral over v2 = v1 * t, t = y^{p_in}, of the second coordinate
-        def f(y):
-            nonlocal evals
-            evals += 1
-            t = y**p_in
-            q2 = float(upper_quantile(dist, v1 * t))
-            return (
-                q2**theta2
-                * p_in
-                * math.exp((p_in * s2 + p_in - 1) * math.log(y))
-                * (1.0 - t) ** (gap - 1)
-            )
-
-        val, _ = quad(f, 0.0, 1.0, epsabs=_EPSABS_2D * 1e-3, epsrel=1e-10, limit=200)
-        return val
-
-    def outer(w):
-        nonlocal evals
-        evals += 1
-        v1 = w**p_out
-        if v1 >= 1.0:
-            return 0.0
-        q1 = float(upper_quantile(dist, v1))
-        log_w = (p_out * s1 + p_out - 1) * math.log(w) + (r1 - 1) * math.log1p(-v1)
-        return q1**theta1 * inner(v1) * p_out * math.exp(log_w - log_b)
-
-    val, err = quad(outer, 0.0, 1.0, epsabs=_EPSABS_2D, epsrel=_EPSREL_2D, limit=300)
-    val = _finite(val, dist, n, (s1, s2), (theta1, theta2))
-    return OracleResult(val, 0.0, "quad2d", evals, err)
 
 
 def _worker_count(batches: int, nbytes: int) -> int:

@@ -267,7 +267,7 @@ def test_verify_jmax_moves_the_remainder():
 
 
 def test_verify_three_depths_without_a_confirmed_rule_is_an_error(capsys):
-    argv = ["verify", "--dist", "student_t(31)", "--s", "3,2,1", "--n", "100,200,400"]
+    argv = ["verify", "--dist", "student_t(3)", "--s", "3,2,1", "--n", "5,10,20"]
     code, out = run_cli(argv)
     assert code == 2
     assert out == ""

@@ -23,14 +23,20 @@ from paretotail.errors import CapabilityError, InfiniteMomentError, ParetoTailEr
 from paretotail.oracle import (
     OracleResult,
     RateFit,
-    _adaptive_joint_moment,
-    _adaptive_moment,
     _gauss_jacobi,
     convergence_rate_probe,
     mc_top_order_stats,
     quad_joint_moment,
     quad_moment,
 )
+
+
+# (epsabs, epsrel) that the quadrature oracle asks over one depth and over two
+_TOL = {1: (1e-10, 1e-11), 2: (1e-8, 1e-9)}
+
+
+def _adaptive(dist, n, s, theta):
+    return oracle._adaptive(dist, n, s, theta, *_TOL[len(s)])
 
 
 def test_quad_moment_pareto_exact():
@@ -90,10 +96,10 @@ def test_quad_moment_f_dist_second_moment_closed_form():
 
 @pytest.mark.filterwarnings("ignore")
 def test_quad_refuses_non_finite_integral():
-    # the adaptive path's endpoint substitution has p = 200: w^200 underflows
-    # v to 0 and the integrand to inf * 0, though the moment is finite
+    # the adaptive path's endpoint substitution has p = 200: y^200 underflows
+    # x to 0 and the integrand to inf * 0, though the moment is finite
     with pytest.raises(ParetoTailError, match="nan"):
-        _adaptive_moment(parse_distribution("pareto"), 50, 0, 0.99)
+        _adaptive(parse_distribution("pareto"), 50, (0,), (0.99,))
 
 
 def test_quad_moment_near_finiteness_boundary():
@@ -130,13 +136,13 @@ def test_quad_moment_against_adaptive_referee(law, n):
         if s + 1 - 1 / alpha <= 0:
             continue
         res = quad_moment(dist, n, s, 1.0)
-        ref = _adaptive_moment(dist, n, s, 1.0)
+        ref = _adaptive(dist, n, (s,), (1.0,))
         assert res.value == pytest.approx(ref.value, rel=1e-10), s
         assert res.method in ("gauss_jacobi", "quad1d")
         assert 0 <= res.abserr <= 1e-10 * abs(res.value) + 1e-10
     for s1, s2 in ((2, 1), (3, 1), (5, 2)):
         res = quad_joint_moment(dist, n, s1, s2, 1.0, 1.0)
-        ref = _adaptive_joint_moment(dist, n, s1, s2, 1.0, 1.0)
+        ref = _adaptive(dist, n, (s1, s2), (1.0, 1.0))
         assert res.value == pytest.approx(ref.value, rel=1e-10), (s1, s2)
         assert res.method in ("gauss_jacobi", "quad2d")
         assert 0 <= res.abserr <= 1e-8 * abs(res.value) + 1e-8
@@ -153,19 +159,75 @@ def test_quad_gauss_jacobi_covers_the_integer_gap_laws():
 
 
 def test_quad_falls_back_to_adaptive():
-    # student_t(31) has gap 2/31: in u = v^(1/31) no rung agrees, so the
+    # at n = 5 the weight (1-v)^(n-s-1) leaves the Cauchy quantile's pole
+    # at v = 1, the lower tail, in the integrand, so no rung agrees and the
     # adaptive value comes back under its own name, with both costs counted
-    dist = parse_distribution("student_t(31)")
-    res = quad_moment(dist, 50, 1, 1.0)
-    ref = _adaptive_moment(dist, 50, 1, 1.0)
+    dist = parse_distribution("cauchy")
+    res = quad_moment(dist, 5, 1, 1.0)
+    ref = _adaptive(dist, 5, (1,), (1.0,))
     assert res.method == "quad1d"
     assert res.value == ref.value and res.abserr == ref.abserr > 0
     assert res.cost > ref.cost
-    res = quad_joint_moment(dist, 200, 2, 1, 1.0, 1.0)
-    ref = _adaptive_joint_moment(dist, 200, 2, 1, 1.0, 1.0)
+    res = quad_joint_moment(dist, 5, 2, 1, 1.0, 1.0)
+    ref = _adaptive(dist, 5, (2, 1), (1.0, 1.0))
     assert res.method == "quad2d"
     assert res.value == ref.value and res.abserr == ref.abserr > 0
     assert res.cost > ref.cost
+
+
+def _frechet_mean(alpha, n, s):
+    # E X_{n,n-s} for F(x) = exp(-x^-alpha): expand (1 - F)^s in the order
+    # statistic's density; E max of m draws is m^(1/alpha) Gamma(1 - 1/alpha)
+    total = sum(
+        math.comb(s, j) * (-1) ** j * (n - s + j) ** (1 / alpha - 1) for j in range(s + 1)
+    )
+    coef = math.factorial(n) / (math.factorial(s) * math.factorial(n - s - 1))
+    return coef * math.gamma(1 - 1 / alpha) * total
+
+
+@pytest.mark.parametrize("n", (3, 5))
+def test_adaptive_fallback_against_frechet_finite_sum(n):
+    dist = parse_distribution("frechet(2.5)")
+    for s in range(n):
+        want = _frechet_mean(2.5, n, s)
+        res = _adaptive(dist, n, (s,), (1.0,))
+        assert res.method == "quad1d"
+        assert res.value == pytest.approx(want, rel=1e-11, abs=1e-10), s
+    assert _frechet_mean(2.5, 3, 0) == pytest.approx(
+        3 ** 0.4 * math.gamma(0.6), rel=1e-15
+    )
+
+
+def _fallback_or_none(dist, n, s):
+    # the fallback's value and tolerance, or None for an infinite moment
+    try:
+        oracle._require_moment(dist, n, s, (1.0,) * len(s))
+    except InfiniteMomentError:
+        return None
+    value = _adaptive(dist, n, s, (1.0,) * len(s)).value
+    epsabs, epsrel = _TOL[len(s)]
+    return value, max(epsabs, epsrel * abs(value))
+
+
+@pytest.mark.parametrize("law", ("cauchy", "student_t(3)", "student_t(7)"))
+def test_adaptive_fallback_reflects_symmetric_laws(law):
+    # X -> -X maps the depth s to n - 1 - s with the sign flipped, and the
+    # pair (s1, s2) to (n - 1 - s2, n - 1 - s1) with the product kept; the
+    # median of 3 is 0
+    dist = parse_distribution(law)
+    median = _fallback_or_none(dist, 3, (1,))
+    assert abs(median[0]) <= median[1]
+    checked = 0
+    for n in (3, 5):
+        for s in range(n // 2):
+            here = _fallback_or_none(dist, n, (s,))
+            there = _fallback_or_none(dist, n, (n - 1 - s,))
+            if here and there:
+                assert abs(here[0] + there[0]) <= here[1] + there[1], (n, s)
+                checked += 1
+    here, there = _fallback_or_none(dist, 5, (2, 1)), _fallback_or_none(dist, 5, (3, 2))
+    assert abs(here[0] - there[0]) <= here[1] + there[1]
+    assert checked == (1 if law == "cauchy" else 3)
 
 
 def test_gauss_jacobi_three_depths():
@@ -187,10 +249,32 @@ def test_gauss_jacobi_three_depths():
 
 
 def test_quad_three_depths_have_no_adaptive_fallback():
-    # student_t(31) has gap 2/31: no rung confirms three depths at n = 100,
-    # and the adaptive fallback integrates one or two
+    # at n = 5 no rung confirms three depths of student_t(3), whose quantile
+    # has its lower tail pole at v = 1, and the adaptive fallback integrates
+    # one or two
     with pytest.raises(ParetoTailError, match="no Gauss-Jacobi rule"):
-        oracle._quad(parse_distribution("student_t(31)"), 100, (3, 2, 1), (1.0, 1.0, 1.0))
+        oracle._quad(parse_distribution("student_t(3)"), 5, (3, 2, 1), (1.0, 1.0, 1.0))
+
+
+def test_gauss_jacobi_ladder_skips_rungs_past_the_node_cap(monkeypatch):
+    # no rung confirms student_t(3) at n = 5 over three depths, so every
+    # rung runs, except those whose tensor passes _GJ_MAX_NODES
+    sizes = []
+    rule = oracle._gauss_jacobi_rule
+
+    def counting(*args):
+        sizes.append(args[-1])
+        return rule(*args)
+
+    monkeypatch.setattr(oracle, "_gauss_jacobi_rule", counting)
+    t3 = parse_distribution("student_t(3)")
+    res, nodes = _gauss_jacobi(t3, 5, (3, 2, 1), (1.0, 1.0, 1.0), 1e-8, 1e-9)
+    assert res is None
+    assert sizes == [16, 24, 32, 48, 64, 96] and nodes == sum(m**3 for m in sizes)
+    sizes.clear()
+    monkeypatch.setattr(oracle, "_GJ_MAX_NODES", 48**3)
+    res, nodes = _gauss_jacobi(t3, 5, (3, 2, 1), (1.0, 1.0, 1.0), 1e-8, 1e-9)
+    assert res is None and sizes == [16, 24, 32, 48]
 
 
 def _outcome(call):
@@ -263,7 +347,7 @@ def test_gauss_jacobi_stops_at_first_non_finite_rule(monkeypatch):
     monkeypatch.setattr(oracle, "_gauss_jacobi_rule", counting)
     dist = parse_distribution("cauchy")
     res = quad_moment(dist, 3000, 1, 1.0)
-    ref = _adaptive_moment(dist, 3000, 1, 1.0)
+    ref = _adaptive(dist, 3000, (1,), (1.0,))
     assert res.method == "quad1d"
     assert len(sizes) <= 2
     assert res.value == ref.value and res.cost == ref.cost + sum(sizes)
