@@ -430,55 +430,91 @@ def _top_sampler(dist: DistributionSpec, reps: int, n: int, k: int):
     alpha = dist.params[0]
     tab = _top_table(alpha, n, k)
 
-    def top_of(rng, counts, j, w):
+    def top_of(rng, counts, bins):
         """Each row's k largest A/W, descending and padded with -inf, of its
-        ``counts`` draws, laid end to end, in bins j with exponentials w."""
+        ``counts`` draws, laid end to end, whose bins j and exponentials w
+        ``bins(rng, total)`` draws.  A row's draws are sorted in a rows x width
+        array, at the places that the mask ``slots`` marks, and only those
+        that can reach their row's top k outlive the first sort."""
+        j, w = bins(rng, int(counts.sum()))
         width = max(counts.max(initial=0), k)
-        # each draw's place in a row-major rows x width array
-        first = np.arange(0, len(counts) * width, width) - np.cumsum(counts) + counts
-        at = np.repeat(first, counts)
-        at += np.arange(len(j))
-        dense = np.full((len(counts), width), -np.inf)
-        flat = dense.ravel()
-        bound = tab.bounds.take(j, axis=1)
+        # counts[r] places then width - counts[r] gaps in row r, built
+        # without a broadcast comparison, whose buffers take about 128 kB
+        gaps = np.column_stack((counts, width - counts)).ravel()
+        slots = np.tile((True, False), len(counts)).repeat(gaps).reshape(-1, width)
+        del gaps
+        dense = np.full(slots.shape, -np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             # w = 0 makes a lower bound inf or nan; nan sorts above every
             # number, as a nan draw does, and a nan threshold keeps the row
+            bound = tab.bounds[0].take(j)
             bound /= w
-            flat[at] = bound[0]
+            dense[slots] = bound
             dense.sort(axis=1)  # cheaper than a partition on short rows
-            keep = np.flatnonzero(~(bound[1] < dense[:, width - k].repeat(counts)))
+            kth = dense[:, width - k].copy()
+            del dense
+            # j is in range; mode="raise" would copy through a buffer
+            tab.bounds[1].take(j, out=bound, mode="clip")
+            bound /= w
+            keep = np.flatnonzero(~(bound < kth.repeat(counts)))
+        del bound
         u = rng.random(len(keep))
         u += j.take(keep)
         u *= np.pi / _KANTER_BINS  # uniform in its bin
-        dense.fill(-np.inf)
-        flat[at.take(keep)] = _kanter(alpha, u) / w.take(keep)
+        del j
+        w = w.take(keep)
+        at = np.flatnonzero(slots).take(keep)
+        del slots, keep
+        x = _kanter(alpha, u)
+        x /= w
+        dense = np.full((len(counts), width), -np.inf)
+        dense.ravel()[at] = x
         dense.sort(axis=1)
         return dense[:, : -k - 1 : -1].copy()
 
+    def candidates(rng, total):
+        j = _alias_draw(tab.cand, rng.random(total))
+        # the exponential cut at hi_j / t: -log1p(-e p_j)
+        w = rng.random(total)
+        w *= tab.minus_p.take(j)
+        return j, np.negative(np.log1p(w, out=w), out=w)
+
+    def others(rng, total):
+        j = _alias_draw(tab.rest, rng.random(total))
+        return j, tab.bounds[1].take(j) * tab.s + rng.standard_exponential(total)
+
     def draw(rng):
         m = tab.m0 + _alias_draw(tab.count, rng.random(reps))
-        r = rng.random((2, m.sum()))
-        j = _alias_draw(tab.cand, r[0])
-        w = np.log1p(np.multiply(r[1], tab.minus_p.take(j), out=r[1]), out=r[1])
-        top = top_of(rng, m, j, np.negative(w, out=w))
+        top = top_of(rng, m, candidates)
         short = np.flatnonzero(~(top[:, -1] > tab.t))  # nan rows too
         if len(short):
-            rest = n - m[short]
-            j = _alias_draw(tab.rest, rng.random(rest.sum()))
-            w = tab.bounds[1].take(j) * tab.s + rng.standard_exponential(len(j))
-            both = np.concatenate((top[short], top_of(rng, rest, j, w)), axis=1)
-            top[short] = _top_of_rows(both, k)
+            rest = top_of(rng, n - m[short], others)
+            top[short] = _top_of_rows(np.concatenate((top[short], rest), axis=1), k)
         top **= (1 - alpha) / alpha  # X, increasing in A/W
         return top
 
-    # bytes per candidate, or per draw of a row that falls short, with
-    # room for the spread of the counts
-    per_draw = 12 * 8
+    # bytes at the peak, beside m and the k-th bound of each row: the rows
+    # x width array and its mask, whose places suffice, but with chance
+    # 1/100, for the largest count of the rows, with j, w and a bound per
+    # candidate at the first sort; or the mask with j, w, the bound and the k-th bounds per
+    # candidate at the second; or the mask, j and w with the place, u and
+    # bin of each draw kept for Kanter's function (k and one or so more a
+    # row, and about two for each bin with lo = 0); or u, w, the place and
+    # the function's temporaries per kept draw.  A row that falls short
+    # holds about n draws instead, beside the top blocks.  numpy's and the
+    # generator's small objects add about 32 kB.
     mean = -n * tab.minus_p.mean()
-    cands = reps * mean + 6 * math.sqrt(reps * mean) + reps * k
-    short_rows = reps * tab.p_short + 4 * math.sqrt(reps * tab.p_short) + 1
-    return draw, per_draw * (cands + short_rows * n)
+    cands = reps * mean + 6 * math.sqrt(reps * mean)
+    kept = reps * min(mean, k + 1 + 2 * n * np.mean(tab.bounds[0] == 0))
+    places = reps * max(k, tab.m0 + np.searchsorted(-tab.above, -0.01 / reps))
+    nbytes = (1 << 15) + 16 * reps + max(
+        9 * places + 24 * cands,
+        places + 34 * cands,
+        places + 16 * cands + 24 * kept,
+        48 * kept,
+        8 * reps * k + 33 * n * (reps * tab.p_short + 4 * math.sqrt(reps * tab.p_short) + 1),
+    )
+    return draw, nbytes
 
 
 class _TopTable(NamedTuple):
@@ -486,8 +522,8 @@ class _TopTable(NamedTuple):
     read: the threshold t = 1/s on A/W; the Kanter bounds lo and
     hi as the rows of ``bounds``; each bin's candidate probability p, as -p;
     alias tables of the candidate count M - ``m0``, and of the bins of a
-    candidate and of another draw; and a bound on the chance that a row
-    has fewer than k draws above t."""
+    candidate and of another draw; P(M > m0 + i) at i; and a bound on the
+    chance that a row has fewer than k draws above t."""
 
     t: float
     s: float
@@ -497,6 +533,7 @@ class _TopTable(NamedTuple):
     count: tuple
     cand: tuple
     rest: tuple
+    above: object
     p_short: float
 
 
@@ -524,10 +561,13 @@ def _top_table(alpha: float, n: int, k: int) -> _TopTable:
     p = -np.expm1(-hi * s)
     counts = _binomial_pmf(n, float(p.mean()))
     m0, m1 = np.flatnonzero(counts)[[0, -1]]
+    counts = counts[m0 : m1 + 1]
+    # summed from the top, so that the far tail keeps its digits
+    above = np.append(np.cumsum(counts[::-1])[-2::-1], 0.0) / counts.sum()
     return _TopTable(
         1.0 / s, s, _frozen(np.stack((lo, hi))),
-        _frozen(-p), int(m0), _alias(counts[m0 : m1 + 1]), _alias(p),
-        _alias(1.0 - p), p_short,
+        _frozen(-p), int(m0), _alias(counts), _alias(p),
+        _alias(1.0 - p), _frozen(above), p_short,
     )
 
 
@@ -583,7 +623,10 @@ def _alias_draw(table, r):
     r *= len(keep)
     j = r.astype(np.intp)
     r -= j
-    return np.where(r < keep.take(j), j, alias.take(j))
+    far = r >= keep.take(j)
+    del r
+    np.copyto(j, alias.take(j), where=far)
+    return j
 
 
 def _frozen(a):

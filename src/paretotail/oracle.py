@@ -7,12 +7,14 @@ top block of uniforms directly through exponential spacings and mapping only
 the depths that are read through the quantile.  The one law with a sampler
 but no quantile, the one-sided stable law, draws its own top block, in
 O(k) work per replicate rather than O(n): Kanter's draws split exactly at a
-threshold that few of them pass (``catalog._top_sampler``).  The Monte Carlo
-batches of one call run on one thread per usable CPU, at most one per batch,
-and only as many as keep their work arrays within ``_MC_WORK_BYTES``
-together; the threads live for that call alone.  Each batch draws from its
-own stream and lands in its own slot, so a seeded result is bit for bit that
-of one thread.
+threshold that few of them pass (``catalog._top_sampler``).  The batches of
+a Monte Carlo call give its standard error; its random streams, each the
+rows of whole batches and at least ``_MC_STREAM_ROWS`` of them, are its
+units of work.  The streams run on one thread per usable CPU, at most one
+per stream, and only as many as keep their work arrays within
+``_MC_WORK_BYTES`` together; the threads live for that call alone.  The
+layout depends only on the rows per batch, and each batch lands in its own
+slot, so a seeded result is bit for bit that of one thread.
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
 absorb the density's endpoint singularities exactly, with nodes and weights
@@ -72,8 +74,12 @@ _JACOBI_CACHE_SIZE = 1024
 # gap denominators kept per process, one per (alpha, beta)
 _GAP_CACHE_SIZE = 256
 # bytes of work arrays that the threads of one Monte Carlo call may hold
-# together: a batch too large for two runs on the caller's thread alone
+# together: a stream too large for two runs on the caller's thread alone
 _MC_WORK_BYTES = 64 << 20
+# rows that one Monte Carlo stream draws at the least, in whole batches: a
+# sampler call on fewer is too short for two threads to hide their handing
+# over of the interpreter lock
+_MC_STREAM_ROWS = 1200
 
 # numpy, scipy.integrate.quad and scipy.special.roots_jacobi are bound on
 # the first call that needs them, so that importing the oracles loads none.
@@ -388,33 +394,39 @@ def quad_joint_moment(
     return _quad(dist, n, (s1, s2), (theta1, theta2))
 
 
-def _worker_count(batches: int, nbytes: int) -> int:
-    """Threads for one Monte Carlo call: one per usable CPU and batch, no
+def _worker_count(streams: int, nbytes: int) -> int:
+    """Threads for one Monte Carlo call: one per usable CPU and stream, no
     more than keep their work arrays of ``nbytes`` each within
     ``_MC_WORK_BYTES`` together, and at least one."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, batches, _MC_WORK_BYTES // max(nbytes, 1)))
+    return max(1, min(cpus, streams, _MC_WORK_BYTES // max(nbytes, 1)))
 
 
 def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     """The array of ``reduce(x_0), ..., reduce(x_{batches - 1})``, where the
     top block x_b is a ``reps // batches`` x ``len(depths)`` array whose
-    column i holds X_{n,n-s} at depth s = depths[i], drawn from stream
-    (seed, b).
+    column i holds X_{n,n-s} at depth s = depths[i].
 
-    A law with a quantile maps through it, at the given depths only, the
-    top block of v_s = 1 - U_{n,n-s}, built from exponential spacings
-    (never sorting n draws); the one-sided stable law draws its top block
-    through ``catalog._top_sampler``, whose table every batch only reads.
-    The batches run on ``_worker_count`` threads that live for this call:
+    The batch is the unit of the standard error, the stream the unit of
+    work: stream c draws the rows of ``ceil(_MC_STREAM_ROWS / bsize)``
+    consecutive whole batches (one when a batch holds ``_MC_STREAM_ROWS``
+    rows or more; the last stream may hold fewer) in one sampler call, from
+    ``make_rng(seed, c)``, and each batch reduces its own slice of them.  A
+    law with a quantile maps through it, at the given depths only, the top
+    block of v_s = 1 - U_{n,n-s}, built from exponential spacings (never
+    sorting n draws); the one-sided stable law draws its top block through
+    ``catalog._top_sampler``, whose table every stream only reads.
+
+    The streams run on ``_worker_count`` threads that live for this call:
     the caller's and the others', each under a copy of the caller's
-    context, so that its ``np.errstate`` holds in all.  Each
-    result lands in its batch's slot, so the array is bit for bit that of
-    drawing the batches in order on one thread, and an error raised is that
-    of the lowest failing batch, as on one thread.
+    context, so that its ``np.errstate`` holds in all.  The layout depends
+    only on the batch size, and each result lands in its batch's slot, so
+    the array is bit for bit that of drawing the streams in order on one
+    thread, and an error raised is that of the lowest failing batch, as on
+    one thread.
     """
     if reps < 10_000:
         raise ValueError(f"reps must be >= 10000, got {reps}")
@@ -425,34 +437,44 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
         raise ValueError(f"reps={reps} leave no rows for each of {batches} batches")
     if np is None:
         _load_numpy()
+    group = -(-_MC_STREAM_ROWS // bsize)  # batches per stream
+    streams = -(-batches // group)
     smax = max(depths)
     depths = list(depths)
     if dist.has_numeric_quantile:
 
-        def block(rng):
-            # the running sum of the spacings: the same additions as
-            # np.cumsum(axis=1), as smax column adds instead of a short
-            # loop per row
-            tops = rng.exponential(1.0, (bsize, smax + 1))
-            for c in range(1, smax + 1):
-                tops[:, c] += tops[:, c - 1]
-            total = rng.gamma(n - smax, 1.0, bsize) + tops[:, -1]
-            return upper_quantile(dist, tops[:, depths] / total[:, None])
+        def sampler(rows):
+            def block(rng):
+                # the running sum of the spacings: the same additions as
+                # np.cumsum(axis=1), as smax column adds instead of a short
+                # loop per row
+                tops = rng.exponential(1.0, (rows, smax + 1))
+                for c in range(1, smax + 1):
+                    tops[:, c] += tops[:, c - 1]
+                total = rng.gamma(n - smax, 1.0, rows) + tops[:, -1]
+                return upper_quantile(dist, tops[:, depths] / total[:, None])
 
-        # the spacings and their total, and per depth read the uniforms and
-        # the quantile with its temporaries, six arrays where _split halves
-        # the uniforms
-        draw, nbytes = block, 8 * bsize * (smax + 2 + 7 * len(depths))
+            # the spacings and their total, and per depth read the uniforms
+            # and the quantile with its temporaries, six arrays where _split
+            # halves the uniforms
+            return block, 8 * rows * (smax + 2 + 7 * len(depths))
+
         read = slice(None)
     else:
         # column s = depth s; every column is checked, since a non-finite
         # draw displaces the finite ones below it
-        draw, nbytes = _top_sampler(dist, bsize, n, smax + 1)
+        def sampler(rows):
+            return _top_sampler(dist, rows, n, smax + 1)
+
         read = depths
+    # every stream but perhaps the last holds ``group`` batches
+    draw, nbytes = sampler(group * bsize)
+    last = batches - (streams - 1) * group
+    draw_last = draw if last == group else sampler(last * bsize)[0]
 
     results = [None] * batches
-    errors = []  # (batch, exception); no batch is handed out after one
-    unclaimed = iter(range(batches))
+    errors = []  # (batch, exception); no stream is handed out after one
+    unclaimed = iter(range(streams))
     lock = threading.Lock()
 
     def claim():
@@ -460,31 +482,35 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
             return None if errors else next(unclaimed, None)
 
     def work():
-        b = -1  # an error before the first batch sorts first
+        b = -1  # an error before the first stream sorts first
         try:
-            for b in iter(claim, None):
-                x = draw(make_rng(seed, b))
-                if not np.all(np.isfinite(x)):
-                    raise ParetoTailError(
-                        f"Monte Carlo top block for {dist} at n={n} has "
-                        f"non-finite values in batch {b}: the simulation "
-                        "under- or overflowed"
-                    )
-                results[b] = reduce(x[:, read])
+            for c in iter(claim, None):
+                b = c * group
+                x = (draw if c < streams - 1 else draw_last)(make_rng(seed, c))
+                for lo in range(0, len(x), bsize):
+                    if not np.all(np.isfinite(x[lo : lo + bsize])):
+                        raise ParetoTailError(
+                            f"Monte Carlo top block for {dist} at n={n} has "
+                            f"non-finite values in batch {b}: the simulation "
+                            "under- or overflowed"
+                        )
+                    results[b] = reduce(x[lo : lo + bsize, read])
+                    b += 1
+                del x  # before the next stream's draw
         except Exception as exc:  # raised on the caller's thread below
             with lock:
                 errors.append((b, exc))
 
     helpers = [
         threading.Thread(target=contextvars.copy_context().run, args=(work,))
-        for _ in range(_worker_count(batches, nbytes) - 1)
+        for _ in range(_worker_count(streams, nbytes) - 1)
     ]
     for t in helpers:
         t.start()
     try:
         work()
     finally:
-        with lock:  # after an interrupt, hand out no more batches
+        with lock:  # after an interrupt, hand out no more streams
             for _ in unclaimed:
                 pass
         for t in helpers:

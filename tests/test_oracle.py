@@ -438,29 +438,54 @@ def test_mc_refuses_non_finite_draws():
         mc_top_order_stats(dist, 50, [((1,), (0.2,))], reps=20_000, seed=3)
 
 
-def mc_by_batch(dist, n, specs, reps, seed, batches=25):
+def mc_by_batch(dist, n, specs, reps, seed, batches=25, stream_rows=None, top=None):
     """(means, standard errors) of mc_top_order_stats, recomputed from one
-    sample_top call per batch."""
+    top-block draw per stream: stream c holds ceil(stream_rows / bsize)
+    consecutive whole batches (``oracle._MC_STREAM_ROWS`` by default) and
+    draws them as ``top(make_rng(seed, c), rows, smax)``, by default one
+    sample_top call whose rows are split into the batches."""
     bsize = reps // batches
+    group = -(-(stream_rows or oracle._MC_STREAM_ROWS) // bsize)
     smax = max(max(s) for s, _ in specs)
+    if top is None:
+
+        def top(rng, rows, smax):
+            return sample_top(dist, rng, rows, n, smax + 1)
+
     sums = np.zeros((batches, len(specs)))
-    for b in range(batches):
-        x = sample_top(dist, make_rng(seed, b), bsize, n, smax + 1)
-        if not np.all(np.isfinite(x)):
-            return None
-        for j, (s, t) in enumerate(specs):
-            prod = np.ones(bsize)
-            for si, ti in zip(s, t):
-                prod = prod * x[:, si] ** ti
-            sums[b, j] = prod.mean()
+    for c, first in enumerate(range(0, batches, group)):
+        held = min(group, batches - first)
+        x = top(make_rng(seed, c), held * bsize, smax)
+        for i in range(held):
+            xb = x[i * bsize : (i + 1) * bsize]
+            if not np.all(np.isfinite(xb)):
+                return None
+            for j, (s, t) in enumerate(specs):
+                prod = np.ones(bsize)
+                for si, ti in zip(s, t):
+                    prod = prod * xb[:, si] ** ti
+                sums[first + i, j] = prod.mean()
     means = [sums[:, j].mean() for j in range(len(specs))]
     ses = [sums[:, j].std(ddof=1) / math.sqrt(batches) for j in range(len(specs))]
     return means, ses
 
 
+def spacings_top(dist, n):
+    """The top block of n draws from ``dist`` at every depth up to smax,
+    through the quantile of the exponential spacings' running sums."""
+
+    def top(rng, rows, smax):
+        tops = np.cumsum(rng.exponential(1.0, (rows, smax + 1)), axis=1)
+        total = rng.gamma(n - smax, 1.0, rows) + tops[:, -1]
+        return catalog.upper_quantile(dist, tops / total[:, None])
+
+    return top
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.99])
 @pytest.mark.parametrize("n", [1, 5, 200])
 def test_mc_stable_matches_sample_top_per_batch(alpha, n):
+    # 400-row batches: three to a stream, the last stream holds one
     dist = DistributionSpec("stable", (alpha, -alpha))
     specs = [((0,), (0.2,))]
     if n > 1:
@@ -476,6 +501,50 @@ def test_mc_stable_matches_sample_top_per_batch(alpha, n):
         assert res.value == mean and res.std_error == se
 
 
+@pytest.mark.parametrize("law", ["pareto(2)", "stable(0.5,-0.5)"])
+def test_mc_large_batches_draw_one_stream_each(law):
+    # batches of _MC_STREAM_ROWS rows or more keep the values of one stream
+    # per batch, (seed, b) for batch b
+    dist = parse_distribution(law)
+    specs = [((3,), (0.5,)), ((3, 1), (0.5, 0.5))]
+    top = spacings_top(dist, 50) if dist.has_numeric_quantile else None
+    for reps, batches in ((30_000, 25), (50_000, 20), (10_000, 2)):
+        assert reps // batches >= oracle._MC_STREAM_ROWS
+        got = mc_top_order_stats(dist, 50, specs, reps, 11, batches)
+        want = mc_by_batch(dist, 50, specs, reps, 11, batches, stream_rows=1, top=top)
+        for res, mean, se in zip(got, *want):
+            assert res.value == mean and res.std_error == se
+
+
+@pytest.mark.parametrize("law", ["pareto(2)", "stable(0.5,-0.5)"])
+def test_mc_small_batches_group_into_streams(monkeypatch, law):
+    # a stream holds ceil(_MC_STREAM_ROWS / bsize) whole batches, drawn in
+    # one sampler call from make_rng(seed, stream)
+    dist = parse_distribution(law)
+    specs = [((2,), (0.5,))]
+    top = spacings_top(dist, 50) if dist.has_numeric_quantile else None
+    streams = []
+    rng = oracle.make_rng
+
+    def recording(seed, stream):
+        streams.append(stream)
+        return rng(seed, stream)
+
+    monkeypatch.setattr(oracle, "make_rng", recording)
+    for reps, batches in ((10_000, 25), (10_000, 20), (20_000, 25), (10_000, 10_000)):
+        bsize = reps // batches
+        group = math.ceil(oracle._MC_STREAM_ROWS / bsize)
+        assert 1 < group < batches
+        streams.clear()
+        got = mc_top_order_stats(dist, 50, specs, reps, 4, batches)
+        assert sorted(streams) == list(range(math.ceil(batches / group)))
+        want = mc_by_batch(dist, 50, specs, reps, 4, batches, top=top)
+        assert got[0].value == want[0][0] and got[0].std_error == want[1][0]
+        # one stream per batch draws other values
+        apart = mc_by_batch(dist, 50, specs, reps, 4, batches, stream_rows=1, top=top)
+        assert got[0].value != apart[0][0]
+
+
 def test_mc_builds_the_kanter_table_once(monkeypatch):
     # one table per (alpha, n, k) and process, whatever the threads, reps
     # or powers of the calls that read it
@@ -487,7 +556,7 @@ def test_mc_builds_the_kanter_table_once(monkeypatch):
         return bounds(alpha)
 
     monkeypatch.setattr(catalog, "_kanter_bounds", counting)
-    monkeypatch.setattr(oracle, "_worker_count", lambda batches, nbytes: batches)
+    monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: streams)
     dist = parse_distribution("stable(0.7,-0.7)")
     catalog._top_table.cache_clear()
     try:
@@ -509,7 +578,7 @@ def test_mc_results_do_not_depend_on_the_thread_count(monkeypatch, law):
     try:
         sys.setswitchinterval(1e-5)  # the threads trade the lock often
         for count in (1, 2, 25):
-            monkeypatch.setattr(oracle, "_worker_count", lambda batches, nbytes: count)
+            monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: count)
             threads = threading.active_count()
             runs.append(mc_top_order_stats(dist, 50, specs, reps=10_000, seed=5))
             assert threading.active_count() == threads
@@ -521,28 +590,35 @@ def test_mc_results_do_not_depend_on_the_thread_count(monkeypatch, law):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("count", [1, 2, 25])
 def test_mc_names_the_lowest_failing_batch(monkeypatch, count):
-    # at seed 13 the top blocks of batches 5, 6, 15, 16 and 24 under- or
-    # overflow; batch 5 is held back, so that on several threads a later
-    # one fails first
+    # at seed 5 the top blocks of batches 11, 12 and 15 under- or overflow:
+    # the last batch of stream 3 and the first of stream 4, three 400-row
+    # batches to a stream; stream 3 is held back, so that on several
+    # threads stream 4 fails first
     dist = parse_distribution("stable(0.99,-0.99)")
+    group = math.ceil(oracle._MC_STREAM_ROWS / 400)
+    assert group == 3
     with np.errstate(all="ignore"):  # must reach every thread
-        failing = [
-            b
-            for b in range(25)
-            if not np.all(np.isfinite(sample_top(dist, make_rng(13, b), 400, 1, 1)))
-        ]
-        assert failing == [5, 6, 15, 16, 24]
+        failing = []
+        for c, first in enumerate(range(0, 25, group)):
+            held = min(group, 25 - first)
+            x = sample_top(dist, make_rng(5, c), held * 400, 1, 1)
+            failing += [
+                first + i
+                for i in range(held)
+                if not np.all(np.isfinite(x[i * 400 : (i + 1) * 400]))
+            ]
+        assert failing == [11, 12, 15]
         rng = oracle.make_rng
 
-        def late_batch_5(seed, stream):
-            if stream == 5:
+        def late_stream_3(seed, stream):
+            if stream == 3:
                 time.sleep(0.05)
             return rng(seed, stream)
 
-        monkeypatch.setattr(oracle, "make_rng", late_batch_5)
-        monkeypatch.setattr(oracle, "_worker_count", lambda batches, nbytes: count)
-        with pytest.raises(ParetoTailError, match=r"in batch 5:"):
-            mc_top_order_stats(dist, 1, [((0,), (0.2,))], reps=10_000, seed=13)
+        monkeypatch.setattr(oracle, "make_rng", late_stream_3)
+        monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: count)
+        with pytest.raises(ParetoTailError, match=r"in batch 11:"):
+            mc_top_order_stats(dist, 1, [((0,), (0.2,))], reps=10_000, seed=5)
 
 
 def test_mc_thread_count():
@@ -558,6 +634,10 @@ def test_mc_thread_count():
     dist = parse_distribution("stable(0.5,-0.5)")
     sizes = [catalog._top_sampler(dist, 1_000_000 // 25, n, 5)[1] for n in (50, 200, 2000)]
     assert max(sizes) < 1.5 * min(sizes)
+    # at n = 50, 100 and 200 two such batches fit the budget together
+    for n in (50, 100, 200):
+        nbytes = catalog._top_sampler(dist, 1_000_000 // 25, n, 5)[1]
+        assert oracle._worker_count(25, nbytes) == min(cpus, 2), n
 
 
 @pytest.mark.parametrize(
@@ -568,12 +648,12 @@ def test_mc_spacings_path_declares_its_peak_bytes(monkeypatch, law, depths):
 
     declared = []
 
-    def one_thread(batches, nbytes):
+    def one_thread(streams, nbytes):
         declared.append(nbytes)
         return 1
 
     monkeypatch.setattr(oracle, "_worker_count", one_thread)
-    # two batches of 20000 rows, drawn one after the other
+    # two batches of 20000 rows, a stream each, drawn one after the other
     args = (parse_distribution(law), 50, depths, 40_000, 1, 2, lambda x: x.sum(axis=0))
     oracle._per_batch(*args)  # numpy's allocations on first use
     tracemalloc.start()
@@ -584,6 +664,32 @@ def test_mc_spacings_path_declares_its_peak_bytes(monkeypatch, law, depths):
         tracemalloc.stop()
     assert sums.shape == (2, len(depths))
     assert 0 < peak <= declared[-1]
+
+
+@pytest.mark.parametrize("n, depths", [(50, [4]), (200, [1, 4])])
+def test_mc_stable_path_declares_its_peak_bytes(monkeypatch, n, depths):
+    # the stable sampler's declared bytes bound its peak, and by no more
+    # than a quarter
+    import tracemalloc
+
+    declared = []
+
+    def one_thread(streams, nbytes):
+        declared.append(nbytes)
+        return 1
+
+    monkeypatch.setattr(oracle, "_worker_count", one_thread)
+    # two batches of 20000 rows, a stream each, drawn one after the other
+    args = (parse_distribution("stable(0.5,-0.5)"), n, depths, 40_000, 1, 2, lambda x: x.sum(axis=0))
+    oracle._per_batch(*args)  # numpy's allocations on first use
+    tracemalloc.start()
+    try:
+        sums = oracle._per_batch(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (2, len(depths))
+    assert 0 < peak <= declared[-1] <= 1.25 * peak
 
 
 def test_mc_refuses_batches_with_no_rows():
