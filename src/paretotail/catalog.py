@@ -495,18 +495,21 @@ def _top_sampler(dist: DistributionSpec, reps: int, n: int, k: int):
 
     # bytes at the peak, beside m and the k-th bound of each row: the rows
     # x width array and its mask, whose places suffice, but with chance
-    # 1/100, for the largest count of the rows, with j, w and a bound per
-    # candidate at the first sort; or the mask with j, w, the bound and the k-th bounds per
-    # candidate at the second; or the mask, j and w with the place, u and
-    # bin of each draw kept for Kanter's function (k and one or so more a
-    # row, and about two for each bin with lo = 0); or u, w, the place and
-    # the function's temporaries per kept draw.  A row that falls short
-    # holds about n draws instead, beside the top blocks.  numpy's and the
-    # generator's small objects add about 32 kB.
+    # about 1/100, for the largest count of the rows, with j, w and a bound
+    # per candidate at the first sort; or the mask with j, w, the bound and
+    # the k-th bounds per candidate at the second; or the mask, j and w
+    # with the place, u and bin of each draw kept for Kanter's function (k
+    # and one or so more a row, and about two for each bin with lo = 0); or
+    # u, w, the place and the function's temporaries per kept draw.  A row
+    # that falls short holds about n draws instead, beside the top blocks.
+    # numpy's and the generator's small objects add about 32 kB.
     mean = -n * tab.minus_p.mean()
     cands = reps * mean + 6 * math.sqrt(reps * mean)
     kept = reps * min(mean, k + 1 + 2 * n * np.mean(tab.bounds[0] == 0))
-    places = reps * max(k, tab.m0 + np.searchsorted(-tab.above, -0.01 / reps))
+    # the count's sub-Gaussian quantile at 1 - 1/(100 reps)
+    var = mean * max(0.0, 1.0 - mean / n)
+    widest = mean + math.sqrt(2 * math.log(100 * reps) * var)
+    places = reps * max(k, widest)
     nbytes = (1 << 15) + 16 * reps + max(
         9 * places + 24 * cands,
         places + 34 * cands,
@@ -514,7 +517,7 @@ def _top_sampler(dist: DistributionSpec, reps: int, n: int, k: int):
         48 * kept,
         8 * reps * k + 33 * n * (reps * tab.p_short + 4 * math.sqrt(reps * tab.p_short) + 1),
     )
-    return draw, nbytes
+    return draw, math.ceil(nbytes)
 
 
 class _TopTable(NamedTuple):
@@ -522,8 +525,8 @@ class _TopTable(NamedTuple):
     read: the threshold t = 1/s on A/W; the Kanter bounds lo and
     hi as the rows of ``bounds``; each bin's candidate probability p, as -p;
     alias tables of the candidate count M - ``m0``, and of the bins of a
-    candidate and of another draw; P(M > m0 + i) at i; and a bound on the
-    chance that a row has fewer than k draws above t."""
+    candidate and of another draw; and a bound on the chance that a row
+    has fewer than k draws above t."""
 
     t: float
     s: float
@@ -533,7 +536,6 @@ class _TopTable(NamedTuple):
     count: tuple
     cand: tuple
     rest: tuple
-    above: object
     p_short: float
 
 
@@ -561,13 +563,10 @@ def _top_table(alpha: float, n: int, k: int) -> _TopTable:
     p = -np.expm1(-hi * s)
     counts = _binomial_pmf(n, float(p.mean()))
     m0, m1 = np.flatnonzero(counts)[[0, -1]]
-    counts = counts[m0 : m1 + 1]
-    # summed from the top, so that the far tail keeps its digits
-    above = np.append(np.cumsum(counts[::-1])[-2::-1], 0.0) / counts.sum()
     return _TopTable(
         1.0 / s, s, _frozen(np.stack((lo, hi))),
-        _frozen(-p), int(m0), _alias(counts), _alias(p),
-        _alias(1.0 - p), _frozen(above), p_short,
+        _frozen(-p), int(m0), _alias(counts[m0 : m1 + 1]), _alias(p),
+        _alias(1.0 - p), p_short,
     )
 
 

@@ -402,7 +402,7 @@ def _worker_count(streams: int, nbytes: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, streams, _MC_WORK_BYTES // max(nbytes, 1)))
+    return max(1, min(cpus, streams, int(_MC_WORK_BYTES // max(nbytes, 1))))
 
 
 def _per_batch(dist, n, depths, reps, seed, batches, reduce):

@@ -372,7 +372,7 @@ def test_top_tables_are_built_once_read_only_and_bounded(fresh_top_tables):
     assert (info.misses, info.hits) == (1, 1)
     assert info.maxsize is not None
     tab = catalog._top_table(0.5, 50, 5)
-    for a in (tab.bounds, tab.minus_p, *tab.count, *tab.cand, *tab.rest, tab.above):
+    for a in (tab.bounds, tab.minus_p, *tab.count, *tab.cand, *tab.rest):
         assert not a.flags.writeable
 
 

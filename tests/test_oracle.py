@@ -637,7 +637,32 @@ def test_mc_thread_count():
     # at n = 50, 100 and 200 two such batches fit the budget together
     for n in (50, 100, 200):
         nbytes = catalog._top_sampler(dist, 1_000_000 // 25, n, 5)[1]
+        assert type(nbytes) is int
         assert oracle._worker_count(25, nbytes) == min(cpus, 2), n
+    # a count of threads, whatever the type of the bytes
+    for nbytes in (1000, 1000.5, np.float64(oracle._MC_WORK_BYTES / 2.5)):
+        assert type(oracle._worker_count(25, nbytes)) is int
+
+
+def test_mc_stable_streams_share_the_budget_on_four_cpus(monkeypatch):
+    # three 40000-row streams at n = 50, of which two fit the byte budget
+    # together: on four CPUs they run on two threads, with the one-thread
+    # result
+    dist = parse_distribution("stable(0.5,-0.5)")
+    args = (dist, 50, [4], 120_000, 1, 3, lambda x: x.sum(axis=0))
+    threads = []
+    count = oracle._worker_count
+
+    def counted(streams, nbytes):
+        threads.append(count(streams, nbytes))
+        return threads[-1]
+
+    monkeypatch.setattr(oracle, "_worker_count", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    sums = oracle._per_batch(*args)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sums.tolist() == oracle._per_batch(*args).tolist()
+    assert threads == [2, 1]
 
 
 @pytest.mark.parametrize(
