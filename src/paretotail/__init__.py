@@ -62,7 +62,6 @@ from .catalog import (
     make_rng,
     parse_distribution,
     sample,
-    sample_top,
     tail_of,
     upper_quantile,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "upper_quantile",
     "cdf",
     "sample",
-    "sample_top",
     "make_rng",
     "CATALOG_NAMES",
     "OracleResult",

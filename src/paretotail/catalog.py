@@ -1,9 +1,10 @@
 """Catalog of heavy-tailed distributions with tail models and samplers.
 
 Each law is one row of ``_LAWS``: its example and parameter contract, its
-Pareto-type tail coefficients, and its quantile and CDF where it has them.
-The capability flags are read from the row, and honest: the general stable
-law carries coefficients only, and only its one-sided case gets a sampler.
+Pareto-type tail coefficients, and its quantile, CDF and own sampler where
+it has them.  The capability flags are read from the row, and honest: the
+general stable law carries coefficients only, and only its one-sided case
+gets a quantile, tabulated from Kanter's integral, and a sampler.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "upper_quantile",
     "cdf",
     "sample",
-    "sample_top",
     "make_rng",
     "CATALOG_NAMES",
 ]
@@ -46,6 +46,8 @@ class _Law(NamedTuple):
     cdf: Callable | None = None  # (p, x) -> F(x)
     exact: bool = False  # whether the quantile is in closed form
     two_sided: Callable = lambda p: False  # whether the support reaches below 0
+    served: Callable = lambda p: True  # whether the quantile and CDF serve p
+    sampler: Callable | None = None  # (p, rng, size) -> draws, if not inverse-CDF
 
 
 def _pareto_tail(p, k):
@@ -91,7 +93,12 @@ def _stable_tail(p, k):
 
 
 def _stable_density_coeff(k: int, alpha: float, gamma: float) -> float:
-    """Coefficient of |x|^{-1-alpha*k} in the stable density for alpha < 1."""
+    """Coefficient of |x|^{-1-alpha*k} in the stable density for alpha < 1;
+    exactly 0 where k (gamma - alpha) / 2 is an integer and the sine
+    vanishes, which in float it does only to rounding."""
+    half_turns = k * (gamma - alpha) / 2
+    if half_turns == math.floor(half_turns):
+        return 0.0
     return (
         math.gamma(k * alpha + 1)
         * ((-1.0) ** k / math.factorial(k))
@@ -148,13 +155,64 @@ def _f_quantile(p, v):
     return _split(v, np.greater(v, 0.5), upper_half, lower_half)
 
 
+def _stable_quantile(p, v):
+    """The positive stable upper quantile Q from the tables of
+    ``_stable_table``: Q = exp(g) (v/c0)^(-1/alpha) for v <= 1/2, and Q =
+    exp(h) above, where 1 - v is exact; Q(1) = 0."""
+    from numpy.polynomial.chebyshev import chebval
+
+    alpha = p[0]
+    c0, sigma_max, g, h = _stable_table(alpha)
+
+    def upper_half(v):
+        s = np.log1p(v / c0) * (2.0 / sigma_max) - 1.0
+        return np.exp(chebval(s, g)) * np.power(v / c0, -1.0 / alpha)
+
+    def lower_half(v):
+        lo, hi = _STABLE_Y
+        with np.errstate(divide="ignore"):  # v = 1
+            s = (np.log(-np.log(1.0 - v)) - lo) * (2.0 / (hi - lo)) - 1.0
+        return np.exp(chebval(np.minimum(s, 1.0), h)) * (v < 1.0)
+
+    return _split(v, np.greater(v, 0.5), upper_half, lower_half)
+
+
+def _stable_cdf(p, x):
+    """P(X <= x) by Kanter's integral."""
+    if x <= 0:
+        return 0.0
+    alpha = p[0]
+    zeta = np.array([-alpha / (1.0 - alpha) * math.log(x)])
+    return float(_kanter_integrals(alpha, zeta)[1][0])
+
+
+def _kanter_sample(p, rng, size):
+    """Kanter's representation X = (A(U)/W)^((1-alpha)/alpha) of the
+    positive stable law with Laplace transform exp(-s^alpha), U uniform on
+    (0, pi) and W exponential (Kanter, Ann. Probab. 3, 1975).  It runs in
+    logs, where A's powers of sin cannot under- or overflow, and takes log A
+    straight from u, apart from the quantile's integrand, which it
+    referees."""
+    alpha = p[0]
+    u = rng.random(size) * np.pi
+    w = rng.exponential(1.0, size)
+    log_a = (
+        alpha * np.log(np.sin(alpha * u))
+        + (1 - alpha) * np.log(np.sin((1 - alpha) * u))
+        - np.log(np.sin(u))
+    ) / (1 - alpha)
+    return np.exp((1 - alpha) / alpha * (log_a - np.log(w)))
+
+
 def _split(v, where, f, g):
     """f(v), but g(v) where ``where`` holds; v a float or an array."""
     if np.ndim(v) == 0:
         return g(v) if where else f(v)
     v = np.asarray(v)
     x = np.empty(v.shape)
-    x[~where], x[where] = f(v[~where]), g(v[where])
+    for part, h in ((~where, f), (where, g)):
+        if part.any():  # the stable law's tables cost as much on no entries
+            x[part] = h(v[part])
     return x
 
 
@@ -190,7 +248,9 @@ _LAWS = {
         (0.5, -0.5),
         "parameters (alpha, gamma) with 0 < alpha < 1, -alpha <= gamma < alpha",
         lambda p: len(p) == 2 and 0 < p[0] < 1 and -p[0] <= p[1] < p[0],
-        _stable_tail, two_sided=lambda p: p[1] != -p[0],
+        _stable_tail, _stable_quantile, _stable_cdf,
+        two_sided=lambda p: p[1] != -p[0], served=lambda p: p[1] == -p[0],
+        sampler=_kanter_sample,
     ),
     "frechet": _Law(
         (1.0,), "one parameter alpha > 0", lambda p: len(p) == 1 and p[0] > 0,
@@ -202,17 +262,16 @@ CATALOG_NAMES = tuple(_LAWS)
 MAX_TAIL_ORDER = 12
 # tail models kept per process, one per (law, parameter types, order)
 _TAIL_CACHE_SIZE = 256
-# sample_top's table of Kanter's function: bins over [0, pi), the relative
-# slack on each bound, and the least power in A that keeps full precision
-_KANTER_BINS = 2048
-_KANTER_SLACK = 1e-9
-_KANTER_TINY = 1e-200
-# the stable top-block sampler: its threshold leaves a row about k +
-# _TOP_SPARE (1 + sqrt(k)) draws above it, found in at most this many Newton
-# steps; tables kept per process, one per (alpha, n, k), about 100 kB each
-_TOP_SPARE = 3.5
-_TOP_NEWTON_STEPS = 30
-_TOP_CACHE_SIZE = 8
+# the positive stable quantile: Chebyshev degrees of its tables below and
+# above v = 1/2, which span y = log(-log(1 - v)) over v in [1/2, 1 - 2^-53]
+# above; Gauss-Legendre nodes of Kanter's integral over u in (0, pi/2] and
+# its four pieces above; a cap on the Newton steps to a node; and the tables
+# kept per process, one per alpha, about 30 kB each
+_STABLE_DEGREES = (24, 32)
+_STABLE_Y = (math.log(math.log(2.0)), math.log(53 * math.log(2.0)))
+_KANTER_NODES = (64, 32, 64, 32, 64)
+_KANTER_NEWTON_STEPS = 50
+_STABLE_CACHE_SIZE = 16
 # below this v, stdtrit loses the Student t upper tail (N = 3: a factor 2 off
 # from v = 1e-165, -inf from 1e-250); the beta inversion keeps it
 _T_DEEP_TAIL = 1e-150
@@ -260,17 +319,17 @@ class DistributionSpec:
 
     @property
     def has_numeric_quantile(self) -> bool:
-        return _LAWS[self.name].quantile is not None
+        law = _LAWS[self.name]
+        return law.quantile is not None and law.served(self.params)
 
     @property
     def two_sided(self) -> bool:
         """Whether the support reaches below 0."""
         return _LAWS[self.name].two_sided(self.params)
 
-    @property
-    def has_sampler(self) -> bool:
-        """Inverse-CDF where there is a quantile, else Kanter's if one-sided."""
-        return self.has_numeric_quantile or not self.two_sided
+    # a sampler wherever there is a quantile: the law's own if it has one
+    # (Kanter's, for the one-sided stable law), else inverse-CDF
+    has_sampler = has_numeric_quantile
 
     def __str__(self):
         if not self.params:
@@ -327,19 +386,20 @@ def _tail_model(dist: DistributionSpec, param_types: tuple, order: int) -> TailM
 
 def upper_quantile(dist: DistributionSpec, v):
     """F^{-1}(1 - v) evaluated stably for small v; accepts numpy arrays."""
-    quantile = _LAWS[dist.name].quantile
-    if quantile is None:
+    if not dist.has_numeric_quantile:
         raise CapabilityError(f"{dist} has no quantile function")
     if np is None:
         _load_numpy()
-    return quantile(dist.params, v)
+    return _LAWS[dist.name].quantile(dist.params, v)
 
 
 def cdf(dist: DistributionSpec, x: float) -> float:
-    law_cdf = _LAWS[dist.name].cdf
-    if law_cdf is None:
+    law = _LAWS[dist.name]
+    if law.cdf is None or not law.served(dist.params):
         raise CapabilityError(f"{dist} has no CDF")
-    return law_cdf(dist.params, x)
+    if np is None:
+        _load_numpy()
+    return law.cdf(dist.params, x)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -351,317 +411,128 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def sample(dist: DistributionSpec, rng: np.random.Generator, size: int = 1):
-    """Draw ``size`` variates: inverse-CDF where a quantile exists, else
-    (a one-sided law) by Kanter's representation of the positive stable law
-    with Laplace transform exp(-s^alpha), alpha the first parameter."""
+    """Draw ``size`` variates: by the law's own sampler where it has one,
+    else inverse-CDF."""
     if not dist.has_sampler:
         raise CapabilityError(f"{dist} has no sampler: two-sided, with no quantile")
     if np is None:
         _load_numpy()
-    if dist.has_numeric_quantile:
-        return upper_quantile(dist, rng.random(size))
-    alpha = dist.params[0]
-    u = rng.random(size) * np.pi
-    w = rng.exponential(1.0, size)
-    return (_kanter(alpha, u) / w) ** ((1 - alpha) / alpha)
+    own = _LAWS[dist.name].sampler
+    if own is not None:
+        return own(dist.params, rng, size)
+    return upper_quantile(dist, rng.random(size))
 
 
-def _kanter(alpha: float, u):
-    """Kanter's function A(u), increasing on (0, pi) (Kanter, Ann. Probab. 3,
-    1975)."""
+@functools.lru_cache(maxsize=_STABLE_CACHE_SIZE)
+def _stable_table(alpha: float):
+    """(c0, sigma_max, g, h) at one alpha: the Chebyshev coefficients of g =
+    log(Q(v) (v/c0)^(1/alpha)) in sigma = log1p(v/c0) over v in [0, 1/2],
+    sigma_max at v = 1/2, and of h = log Q(v) in y = log(-log(1 - v)) over
+    ``_STABLE_Y``, each coordinate mapped onto [-1, 1].  Q is the positive
+    stable upper quantile, interpolated at the Chebyshev points of each
+    table, in one Newton solve of Kanter's integral.  g tends to 0 as v
+    does, and the tail's leading term c0 x^-alpha carries Q down to where it
+    overflows; sigma straightens the near-geometric tail sum c0 xi / (1 -
+    xi), xi = x^-alpha, of alpha near 1."""
+    from numpy.polynomial import chebyshev
+
+    c0 = 1.0 / math.gamma(1.0 - alpha)
+    sigma_max = math.log1p(0.5 / c0)
+    low, high = (chebyshev.chebpts1(d + 1) for d in _STABLE_DEGREES)
+    v = c0 * np.expm1((low + 1.0) * (sigma_max / 2))
+    lo, hi = _STABLE_Y
+    w = np.exp(-np.exp(lo + (high + 1.0) * ((hi - lo) / 2)))
+    upper = np.arange(len(v) + len(w)) < len(v)
+    log_x = _kanter_log_x(alpha, np.concatenate((v, w)), upper)
+    g = log_x[upper] + np.log(v / c0) / alpha
+    fit = chebyshev.chebfit
+    return c0, sigma_max, fit(low, g, len(low) - 1), fit(high, log_x[~upper], len(high) - 1)
+
+
+def _kanter_log_x(alpha: float, target, upper):
+    """log x where P(X > x) = target, or P(X <= x) = target where ``upper``
+    is False, for the positive stable law: Newton's method on log v or log w
+    of ``_kanter_integrals`` in zeta = log z.  A solve for v starts from the
+    tail's leading term c0 z^(1-alpha), or from w ~ exp(-A(0) z) where that
+    gives the smaller zeta, and a solve for w from the latter: starts from
+    which the steps approach the root without overshooting it."""
+    r = 1.0 - alpha
+    tail = (np.log(np.where(upper, target, 1.0 - target)) + math.log(math.gamma(r))) / r
+    least = r * alpha ** (alpha / r)  # A(0)
+    body = np.log(-np.log(np.where(upper, 1.0 - target, target)) / least)
+    zeta = np.where(upper, np.minimum(tail, body), body)
+    log_target = np.log(target)
+    for _ in range(_KANTER_NEWTON_STEPS):
+        v, w, d = _kanter_integrals(alpha, zeta)
+        step = np.where(upper, (np.log(v) - log_target) * v, (log_target - np.log(w)) * w) / d
+        zeta = zeta - step
+        if np.all(np.abs(step) <= 1e-13 * (1.0 + np.abs(zeta))):
+            break
+    return -(r / alpha) * zeta
+
+
+def _kanter_integrals(alpha: float, zeta):
+    """(v, w, d) at z = exp(zeta) for an array zeta: v = P(X > x) = (1/pi)
+    int_0^pi -expm1(-A(u) z) du with x = z^(-(1-alpha)/alpha), w = 1 - v
+    summed apart, and d = dv/dzeta = (1/pi) int A z exp(-A z) du, with A
+    Kanter's function.
+
+    Over u in (0, pi/2] log A is bounded and one Gauss-Legendre rule serves.
+    Above, A grows without bound, and the integrand turns from A z to 1 in
+    a layer at u near pi that narrows as z falls.  There the rules run in y
+    = -log(pi - u), with log A from pi - u so that no digits are lost, over
+    four pieces cut where A z is e^-60, 1 and 45, and 40 past the last;
+    beyond it v gains exp(-y) and w nothing.
+    """
+    bulk_log_a, bulk_weights, layer, grid_y, grid_log_a = _kanter_rule(alpha)
+    r = 1.0 - alpha
+    # where log A z reaches each cut: log A is increasing in y, and near
+    # u = pi about y / (1 - alpha)
+    cuts = [
+        np.interp(c - zeta, grid_log_a, grid_y)
+        + r * np.maximum(c - zeta - grid_log_a[-1], 0.0)
+        for c in (-60.0, 0.0, math.log(45.0))
+    ]
+    edges = [np.full_like(zeta, grid_y[0]), *cuts, cuts[-1] + 40.0]
+    pieces = [(bulk_log_a + zeta[:, None], bulk_weights)]
+    for lo, hi, (x, x_weights) in zip(edges, edges[1:], layer):
+        half = ((hi - lo) / 2)[:, None]
+        y = lo[:, None] + half * (x + 1.0)
+        t = np.exp(-y)
+        log_az = (y + r * zeta[:, None]) / r + _log_kanter_near_pi(alpha, t)
+        pieces.append((log_az, half * x_weights * t))
+    v, w, d = np.exp(-edges[-1]), 0.0, 0.0
+    with np.errstate(over="ignore"):  # A z = inf adds 1 to v, 0 to w and d
+        for s, weights in pieces:
+            e = np.exp(s)
+            v = v + np.sum(-np.expm1(-e) * weights, axis=-1)
+            w = w + np.sum(np.exp(-e) * weights, axis=-1)
+            d = d + np.sum(np.exp(s - e) * weights, axis=-1)
+    return v / np.pi, w / np.pi, d / np.pi
+
+
+@functools.lru_cache(maxsize=_STABLE_CACHE_SIZE)
+def _kanter_rule(alpha: float):
+    """What ``_kanter_integrals`` reads at one alpha: log A at the
+    Gauss-Legendre nodes of u in (0, pi/2] and their weights, the rules of
+    the four pieces above, and log A on a grid of y = -log(pi - u), in
+    steps of 0.05 from -log(pi/2) up 60, which places the pieces."""
+    roots_legendre = _special().roots_legendre
+    r = 1.0 - alpha
+    x, weights = roots_legendre(_KANTER_NODES[0])
+    u = (x + 1.0) * (np.pi / 4)
+    bulk = (alpha / r) * np.log(np.sin(alpha * u) / np.sin(u)) + np.log(np.sin(r * u) / np.sin(u))
+    grid_y = np.arange(1201) * 0.05 - math.log(np.pi / 2)
+    layer = [roots_legendre(m) for m in _KANTER_NODES[1:]]
+    grid_log_a = grid_y / r + _log_kanter_near_pi(alpha, np.exp(-grid_y))
+    return bulk, weights * (np.pi / 4), layer, grid_y, grid_log_a
+
+
+def _log_kanter_near_pi(alpha: float, t):
+    """log A(pi - t) + log(t) / (1 - alpha), computed from t."""
+    r = 1.0 - alpha
     return (
-        np.sin(alpha * u) ** (alpha / (1 - alpha))
-        * np.sin((1 - alpha) * u)
-        / np.sin(u) ** (1 / (1 - alpha))
+        (alpha / r) * np.log(np.sin(alpha * (np.pi - t)))
+        + np.log(np.sin(r * (np.pi - t)))
+        - np.log(np.sin(t) / t) / r
     )
-
-
-def sample_top(
-    dist: DistributionSpec, rng: np.random.Generator, reps: int, n: int, k: int
-):
-    """The ``k`` largest of ``n`` draws per row, ``reps`` rows, in descending
-    order.
-
-    Equal in distribution to sorting each row of ``sample(dist, rng, (reps,
-    n))``; for a law with a quantile it is that sort, of the same draws.  For
-    the positive stable law, each row draws the few variates that can pass a
-    threshold, and all the others only when its k-th largest does not pass
-    it (see ``_top_sampler``).
-    """
-    return _top_sampler(dist, reps, n, k)[0](rng)
-
-
-def _top_sampler(dist: DistributionSpec, reps: int, n: int, k: int):
-    """``(draw, nbytes)`` for drawing many blocks of one shape, on one thread
-    or several: ``draw(rng)`` is ``sample_top(dist, rng, reps, n, k)``, and
-    its arrays take at most about ``nbytes`` bytes at their peak.  Each draw
-    returns a fresh array.
-
-    The positive stable law draws X = (A(U)/W)^((1-alpha)/alpha), with U
-    uniform on (0, pi), W exponential and A Kanter's function.  In bin j of
-    the Kanter table A <= hi_j, so A/W can pass the threshold t only when W <
-    hi_j/t, with probability p_j = 1 - exp(-hi_j/t): such a draw is a
-    candidate.  Each row draws its count M ~ Binomial(n, mean p_j) of
-    candidates, their bins from the law proportional to p_j, U uniform in
-    the bin and W = -log1p(-e p_j), e uniform: the exponential cut at
-    hi_j/t.  Kanter's function is evaluated only on the candidates whose
-    upper bound hi_j/W reaches the row's k-th largest lower bound lo_j/W.
-    No other draw passes t, so a row whose k-th largest passes t is
-    complete; any other row also draws its n - M other draws, from bins
-    proportional to 1 - p_j and W = hi_j/t + Exp(1) by memorylessness.
-
-    A row thus draws about k + ``_TOP_SPARE`` (1 + sqrt(k)) candidates and
-    evaluates A on little more than k of them, plus every draw in the few
-    bins at the ends of (0, pi) whose bound is infinite or nearly so (4 of
-    2048 at alpha = 1/2).  Each ``(alpha, n, k)`` builds its table once per
-    process (``_top_table``), and the draws only read it.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if np is None:
-        _load_numpy()
-    if dist.has_numeric_quantile or not dist.has_sampler:
-
-        def sorted_draw(rng):
-            return _top_of_rows(sample(dist, rng, (reps, n)), k)
-
-        # the draws and their partitioned copy
-        return sorted_draw, 16 * reps * n
-    alpha = dist.params[0]
-    tab = _top_table(alpha, n, k)
-
-    def top_of(rng, counts, bins):
-        """Each row's k largest A/W, descending and padded with -inf, of its
-        ``counts`` draws, laid end to end, whose bins j and exponentials w
-        ``bins(rng, total)`` draws.  A row's draws are sorted in a rows x width
-        array, at the places that the mask ``slots`` marks, and only those
-        that can reach their row's top k outlive the first sort."""
-        j, w = bins(rng, int(counts.sum()))
-        width = max(counts.max(initial=0), k)
-        # counts[r] places then width - counts[r] gaps in row r, built
-        # without a broadcast comparison, whose buffers take about 128 kB
-        gaps = np.column_stack((counts, width - counts)).ravel()
-        slots = np.tile((True, False), len(counts)).repeat(gaps).reshape(-1, width)
-        del gaps
-        dense = np.full(slots.shape, -np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # w = 0 makes a lower bound inf or nan; nan sorts above every
-            # number, as a nan draw does, and a nan threshold keeps the row
-            bound = tab.bounds[0].take(j)
-            bound /= w
-            dense[slots] = bound
-            dense.sort(axis=1)  # cheaper than a partition on short rows
-            kth = dense[:, width - k].copy()
-            del dense
-            # j is in range; mode="raise" would copy through a buffer
-            tab.bounds[1].take(j, out=bound, mode="clip")
-            bound /= w
-            keep = np.flatnonzero(~(bound < kth.repeat(counts)))
-        del bound
-        u = rng.random(len(keep))
-        u += j.take(keep)
-        u *= np.pi / _KANTER_BINS  # uniform in its bin
-        del j
-        w = w.take(keep)
-        at = np.flatnonzero(slots).take(keep)
-        del slots, keep
-        x = _kanter(alpha, u)
-        x /= w
-        dense = np.full((len(counts), width), -np.inf)
-        dense.ravel()[at] = x
-        dense.sort(axis=1)
-        return dense[:, : -k - 1 : -1].copy()
-
-    def candidates(rng, total):
-        j = _alias_draw(tab.cand, rng.random(total))
-        # the exponential cut at hi_j / t: -log1p(-e p_j)
-        w = rng.random(total)
-        w *= tab.minus_p.take(j)
-        return j, np.negative(np.log1p(w, out=w), out=w)
-
-    def others(rng, total):
-        j = _alias_draw(tab.rest, rng.random(total))
-        return j, tab.bounds[1].take(j) * tab.s + rng.standard_exponential(total)
-
-    def draw(rng):
-        m = tab.m0 + _alias_draw(tab.count, rng.random(reps))
-        top = top_of(rng, m, candidates)
-        short = np.flatnonzero(~(top[:, -1] > tab.t))  # nan rows too
-        if len(short):
-            rest = top_of(rng, n - m[short], others)
-            top[short] = _top_of_rows(np.concatenate((top[short], rest), axis=1), k)
-        top **= (1 - alpha) / alpha  # X, increasing in A/W
-        return top
-
-    # bytes at the peak, beside m and the k-th bound of each row: the rows
-    # x width array and its mask, whose places suffice, but with chance
-    # about 1/100, for the largest count of the rows, with j, w and a bound
-    # per candidate at the first sort; or the mask with j, w, the bound and
-    # the k-th bounds per candidate at the second; or the mask, j and w
-    # with the place, u and bin of each draw kept for Kanter's function (k
-    # and one or so more a row, and about two for each bin with lo = 0); or
-    # u, w, the place and the function's temporaries per kept draw.  A row
-    # that falls short holds about n draws instead, beside the top blocks.
-    # numpy's and the generator's small objects add about 32 kB.
-    mean = -n * tab.minus_p.mean()
-    cands = reps * mean + 6 * math.sqrt(reps * mean)
-    kept = reps * min(mean, k + 1 + 2 * n * np.mean(tab.bounds[0] == 0))
-    # the count's sub-Gaussian quantile at 1 - 1/(100 reps)
-    var = mean * max(0.0, 1.0 - mean / n)
-    widest = mean + math.sqrt(2 * math.log(100 * reps) * var)
-    places = reps * max(k, widest)
-    nbytes = (1 << 15) + 16 * reps + max(
-        9 * places + 24 * cands,
-        places + 34 * cands,
-        places + 16 * cands + 24 * kept,
-        48 * kept,
-        8 * reps * k + 33 * n * (reps * tab.p_short + 4 * math.sqrt(reps * tab.p_short) + 1),
-    )
-    return draw, math.ceil(nbytes)
-
-
-class _TopTable(NamedTuple):
-    """What the positive stable law's top-block draws of one (alpha, n, k)
-    read: the threshold t = 1/s on A/W; the Kanter bounds lo and
-    hi as the rows of ``bounds``; each bin's candidate probability p, as -p;
-    alias tables of the candidate count M - ``m0``, and of the bins of a
-    candidate and of another draw; and a bound on the chance that a row
-    has fewer than k draws above t."""
-
-    t: float
-    s: float
-    bounds: object
-    minus_p: object
-    m0: int
-    count: tuple
-    cand: tuple
-    rest: tuple
-    p_short: float
-
-
-@functools.lru_cache(maxsize=_TOP_CACHE_SIZE)
-def _top_table(alpha: float, n: int, k: int) -> _TopTable:
-    """The table of ``_top_sampler`` for the positive stable law.  t is set
-    so that n mean(1 - exp(-lo_j/t)), a lower bound on the expected number
-    of draws above t, is k + ``_TOP_SPARE`` (1 + sqrt(k)); where no t gives
-    that many, t = 0 and every draw is a candidate."""
-    lo, hi = _kanter_bounds(alpha)
-    target = k + _TOP_SPARE * (1.0 + math.sqrt(k))
-    s, p_short = math.inf, 0.0
-    if target < n * np.mean(lo > 0):
-        # in s = 1/t the count n mean(1 - exp(-lo s)) grows and is concave,
-        # so Newton's steps from below stay below the root
-        s = target / (n * lo.mean())
-        for _ in range(_TOP_NEWTON_STEPS):
-            e = np.exp(-lo * s)
-            short = target - n * (1.0 - e.mean())
-            if short <= 1e-3 * target:
-                break
-            s += short / (n * (lo * e).mean())
-        # bins with lo = 0 keep the chance below 1
-        p_short = float(_binomial_pmf(n, 1.0 - np.exp(-lo * s).mean())[:k].sum())
-    p = -np.expm1(-hi * s)
-    counts = _binomial_pmf(n, float(p.mean()))
-    m0, m1 = np.flatnonzero(counts)[[0, -1]]
-    return _TopTable(
-        1.0 / s, s, _frozen(np.stack((lo, hi))),
-        _frozen(-p), int(m0), _alias(counts[m0 : m1 + 1]), _alias(p),
-        _alias(1.0 - p), p_short,
-    )
-
-
-def _binomial_pmf(n: int, p: float):
-    """P(Binomial(n, p) = m) for m = 0, ..., n; 0 where it underflows."""
-    m = np.arange(n + 1)
-    # log C(n, m) from the ratios C(n, m) / C(n, m - 1) = (n - m + 1) / m
-    log_c = np.concatenate(([0.0], np.cumsum(np.log((n - m[1:] + 1) / m[1:]))))
-    with np.errstate(divide="ignore"):  # p = 1 puts all the mass on n
-        log_q = np.multiply(n - m, np.log1p(-p), out=np.zeros(n + 1), where=m < n)
-        return np.exp(log_c + m * np.log(p) + log_q)
-
-
-def _alias(weights):
-    """Walker's alias table ``(keep, alias)`` of the law proportional to
-    ``weights`` over B bins (Walker, ACM TOMS 3, 1977): bin j is drawn with
-    probability (keep_j + the sum of 1 - keep_i over the bins i aliased to
-    j) / B.
-
-    Built in one vectorized sweep.  Scaled to mean 1, the light bins' (q <
-    1) deficits 1 - q lie end to end, as do the heavy bins' excesses q - 1.
-    A light bin aliases the heavy one whose excess holds the start of its
-    deficit.  Heavy bin j pays those deficits in full, and overshoots its
-    excess, which ends at E_j, by the end P_j >= E_j of the deficit that
-    straddles E_j; it keeps 1 - (P_j - E_j) and aliases heavy bin j + 1,
-    which pays that overshoot first.  An all-zero law, which is never drawn
-    from, gets the uniform table.
-    """
-    size = len(weights)
-    total = weights.sum()
-    q = weights * (size / total) if total > 0 else np.ones(size)
-    alias = np.arange(size)
-    light, heavy = np.flatnonzero(q < 1.0), np.flatnonzero(q >= 1.0)
-    if len(light) and len(heavy):  # else every q is 1 up to rounding
-        deficit = 1.0 - q[light]
-        ends = np.cumsum(deficit)
-        excess = np.cumsum(q[heavy] - 1.0)
-        to = np.searchsorted(excess, ends - deficit, "right")
-        # past the last excess only by rounding
-        alias[light] = heavy[np.minimum(to, len(heavy) - 1)]
-        straddle = np.minimum(np.searchsorted(ends, excess), len(ends) - 1)
-        q[heavy] = 1.0 - np.maximum(ends[straddle] - excess, 0.0)
-        alias[heavy[:-1]] = heavy[1:]
-    q[heavy[-1:]] = 1.0  # its excess ends at the total deficit
-    return _frozen(np.clip(q, 0.0, 1.0)), _frozen(alias)
-
-
-def _alias_draw(table, r):
-    """Bins drawn from an alias table, one per uniform in r, which it
-    overwrites: the integer part of r B picks the bin, its fraction whether
-    to keep it."""
-    keep, alias = table
-    r *= len(keep)
-    j = r.astype(np.intp)
-    r -= j
-    far = r >= keep.take(j)
-    del r
-    np.copyto(j, alias.take(j), where=far)
-    return j
-
-
-def _frozen(a):
-    a.flags.writeable = False
-    return a
-
-
-def _top_of_rows(x, k: int):
-    """The k largest entries of each row of x, in descending order."""
-    m = x.shape[1]
-    return np.sort(np.partition(x, m - k, axis=1)[:, m - k :], axis=1)[:, ::-1]
-
-
-def _kanter_bounds(alpha: float):
-    """Bounds ``lo[j] <= A(u) <= hi[j]`` on Kanter's function, as computed,
-    for u in bin j of ``_KANTER_BINS`` equal bins over [0, pi).
-
-    Bin j takes A at edge j - 1 and edge j + 2: one bin of slack on each
-    side for the rounding of u and of the edges.  The bin is left unbounded,
-    [0, inf], unless both powers in A are at least ``_KANTER_TINY`` at both
-    of those edges.  sin(alpha u) and sin(u) are unimodal on [0, pi), so
-    the powers then stay that large inside the bin and A keeps full
-    precision there; nearer to 0 or pi they underflow, and A comes out
-    imprecise, inf or nan.  The relative slack covers the rounding of A,
-    which the powers amplify in proportion to 1 / (1 - alpha).
-    """
-    edges = np.arange(_KANTER_BINS + 1) * (np.pi / _KANTER_BINS)
-    with np.errstate(all="ignore"):
-        num = np.sin(alpha * edges) ** (alpha / (1 - alpha))
-        den = np.sin(edges) ** (1 / (1 - alpha))
-        a = num * np.sin((1 - alpha) * edges) / den  # _kanter(alpha, edges)
-    # index i + 1 holds edge i; edges -1 and B + 1 do not exist
-    a = np.concatenate(([np.nan], a, [np.nan]))
-    sound = np.concatenate(([False], np.minimum(num, den) >= _KANTER_TINY, [False]))
-    ok = sound[:-3] & sound[3:]
-    slack = _KANTER_SLACK + 64 * np.finfo(float).eps / (1 - alpha)
-    lo = np.where(ok, a[:-3] * (1 - slack), 0.0)
-    hi = np.where(ok, a[3:] * (1 + slack), np.inf)
-    return lo, hi

@@ -3,11 +3,9 @@
 Nothing here reuses the expansion machinery.  Moments of top order
 statistics are computed by integrating quantiles against the exact
 multivariate beta density of uniform order statistics, or by simulating the
-top block of uniforms directly through exponential spacings and mapping only
-the depths that are read through the quantile.  The one law with a sampler
-but no quantile, the one-sided stable law, draws its own top block, in
-O(k) work per replicate rather than O(n): Kanter's draws split exactly at a
-threshold that few of them pass (``catalog._top_sampler``).  The batches of
+top block of uniforms directly through exponential spacings, in O(k) work
+per replicate rather than O(n), and mapping only the depths that are read
+through the quantile; every law with a sampler has one.  The batches of
 a Monte Carlo call give its standard error; its random streams, each the
 rows of whole batches and at least ``_MC_STREAM_ROWS`` of them, are its
 units of work.  The streams run on one thread per usable CPU, at most one
@@ -40,13 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .betamoments import merge_ties, require_finite, suffix_sums
-from .catalog import (
-    DistributionSpec,
-    _top_sampler,
-    make_rng,
-    tail_of,
-    upper_quantile,
-)
+from .catalog import DistributionSpec, make_rng, tail_of, upper_quantile
 from .errors import CapabilityError, InfiniteMomentError, ParetoTailError
 
 __all__ = [
@@ -414,11 +406,10 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     work: stream c draws the rows of ``ceil(_MC_STREAM_ROWS / bsize)``
     consecutive whole batches (one when a batch holds ``_MC_STREAM_ROWS``
     rows or more; the last stream may hold fewer) in one sampler call, from
-    ``make_rng(seed, c)``, and each batch reduces its own slice of them.  A
-    law with a quantile maps through it, at the given depths only, the top
-    block of v_s = 1 - U_{n,n-s}, built from exponential spacings (never
-    sorting n draws); the one-sided stable law draws its top block through
-    ``catalog._top_sampler``, whose table every stream only reads.
+    ``make_rng(seed, c)``, and each batch reduces its own slice of them.
+    The sampler maps through the law's quantile, at the given depths only,
+    the top block of v_s = 1 - U_{n,n-s}, built from exponential spacings
+    (never sorting n draws).
 
     The streams run on ``_worker_count`` threads that live for this call:
     the caller's and the others', each under a copy of the caller's
@@ -441,36 +432,24 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     streams = -(-batches // group)
     smax = max(depths)
     depths = list(depths)
-    if dist.has_numeric_quantile:
 
-        def sampler(rows):
-            def block(rng):
-                # the running sum of the spacings: the same additions as
-                # np.cumsum(axis=1), as smax column adds instead of a short
-                # loop per row
-                tops = rng.exponential(1.0, (rows, smax + 1))
-                for c in range(1, smax + 1):
-                    tops[:, c] += tops[:, c - 1]
-                total = rng.gamma(n - smax, 1.0, rows) + tops[:, -1]
-                return upper_quantile(dist, tops[:, depths] / total[:, None])
+    def draw(rng, rows):
+        # the running sum of the spacings: the same additions as
+        # np.cumsum(axis=1), as smax column adds instead of a short loop per
+        # row
+        tops = rng.exponential(1.0, (rows, smax + 1))
+        for c in range(1, smax + 1):
+            tops[:, c] += tops[:, c - 1]
+        total = rng.gamma(n - smax, 1.0, rows) + tops[:, -1]
+        return upper_quantile(dist, tops[:, depths] / total[:, None])
 
-            # the spacings and their total, and per depth read the uniforms
-            # and the quantile with its temporaries, six arrays where _split
-            # halves the uniforms
-            return block, 8 * rows * (smax + 2 + 7 * len(depths))
-
-        read = slice(None)
-    else:
-        # column s = depth s; every column is checked, since a non-finite
-        # draw displaces the finite ones below it
-        def sampler(rows):
-            return _top_sampler(dist, rows, n, smax + 1)
-
-        read = depths
-    # every stream but perhaps the last holds ``group`` batches
-    draw, nbytes = sampler(group * bsize)
-    last = batches - (streams - 1) * group
-    draw_last = draw if last == group else sampler(last * bsize)[0]
+    # a table that the quantile builds on first use is built here, once,
+    # before the threads share it
+    upper_quantile(dist, 0.5)
+    # a stream of ``group`` batches holds the spacings and their total, and
+    # per depth read the uniforms and the quantile with its temporaries: up
+    # to ten arrays, for the stable law's Chebyshev sums
+    nbytes = 8 * group * bsize * (smax + 2 + 11 * len(depths))
 
     results = [None] * batches
     errors = []  # (batch, exception); no stream is handed out after one
@@ -486,7 +465,7 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
         try:
             for c in iter(claim, None):
                 b = c * group
-                x = (draw if c < streams - 1 else draw_last)(make_rng(seed, c))
+                x = draw(make_rng(seed, c), bsize * min(group, batches - b))
                 for lo in range(0, len(x), bsize):
                     if not np.all(np.isfinite(x[lo : lo + bsize])):
                         raise ParetoTailError(
@@ -494,7 +473,7 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
                             f"non-finite values in batch {b}: the simulation "
                             "under- or overflowed"
                         )
-                    results[b] = reduce(x[lo : lo + bsize, read])
+                    results[b] = reduce(x[lo : lo + bsize])
                     b += 1
                 del x  # before the next stream's draw
         except Exception as exc:  # raised on the caller's thread below
@@ -531,7 +510,8 @@ def mc_top_order_stats(
     """Monte Carlo estimates of E prod X_{n,n-s_i}^{theta_i}.
 
     ``specs`` is a list of (s-vector, theta-vector) pairs, all served from
-    the same simulated top block.  Returns one OracleResult per spec, with
+    the same simulated top block, which every law maps through its quantile
+    (``_per_batch``).  Returns one OracleResult per spec, with
     batch-mean standard errors; deterministic for fixed (seed, reps,
     batches), whatever the number of threads.
     """

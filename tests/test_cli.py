@@ -431,7 +431,7 @@ def test_list_distributions():
         ["cauchy", "cauchy", "1", "1", "1"],
         ["student_t", "student_t(3)", "0", "1", "1"],
         ["f_dist", "f_dist(2,6)", "0", "1", "1"],
-        ["stable", "stable(0.5,-0.5)", "0", "0", "1"],
+        ["stable", "stable(0.5,-0.5)", "0", "1", "1"],
         ["frechet", "frechet(1)", "1", "1", "1"],
     ]
 

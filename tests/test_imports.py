@@ -49,6 +49,19 @@ def test_import_loads_no_numeric_stack():
     assert loaded_after("import paretotail") == "[]"
 
 
+def test_stable_quantile_builds_its_table_on_first_use():
+    code = """
+from paretotail import catalog
+from paretotail.catalog import parse_distribution, tail_of, upper_quantile
+dist = parse_distribution("stable(0.5,-0.5)")
+tail_of(dist, 6)
+print(catalog._stable_table.cache_info().currsize)
+upper_quantile(dist, 0.1)
+print(catalog._stable_table.cache_info().currsize)
+"""
+    assert fresh(code).split() == ["0", "1"]
+
+
 def test_coefficient_paths_load_no_numeric_stack():
     code = """
 import io

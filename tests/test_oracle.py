@@ -12,13 +12,7 @@ import pytest
 
 from paretotail import catalog, oracle
 from paretotail.betamoments import RankSpec, joint_beta_moment
-from paretotail.catalog import (
-    DistributionSpec,
-    make_rng,
-    parse_distribution,
-    sample_top,
-    tail_of,
-)
+from paretotail.catalog import DistributionSpec, make_rng, parse_distribution, tail_of
 from paretotail.errors import CapabilityError, InfiniteMomentError, ParetoTailError
 from paretotail.oracle import (
     OracleResult,
@@ -410,8 +404,8 @@ def test_mc_matches_quadrature():
 
 
 def test_mc_direct_sampling_path():
-    # the one-sided stable law has a sampler but no quantile; at alpha = 1/2
-    # it is the Levy law, whose quantile 1/(4 erfinv(v)^2) makes E X_{n,n-s}
+    # the one-sided stable law at alpha = 1/2 is the Levy law, whose quantile
+    # 1/(4 erfinv(v)^2), independent of the catalog's table, makes E X_{n,n-s}
     # a one-dimensional integral against the beta law of v_s = 1 - U_{n,n-s}
     from scipy import integrate, special, stats
 
@@ -429,28 +423,43 @@ def test_mc_direct_sampling_path():
         assert res.std_error < 0.05 * want
 
 
-@pytest.mark.filterwarnings("ignore")
-def test_mc_refuses_non_finite_draws():
-    # near alpha = 1, sin(u)^(1/(1-alpha)) in Kanter's representation
-    # underflows and some draws come out inf or nan
+def overflowing_below(threshold, monkeypatch):
+    """Make the oracles' quantile return inf wherever v < threshold, as a
+    quantile that overflows a float does."""
+    quantile = oracle.upper_quantile
+
+    def overflowing(dist, v):
+        return np.where(np.less(v, threshold), np.inf, quantile(dist, v))
+
+    monkeypatch.setattr(oracle, "upper_quantile", overflowing)
+
+
+def test_mc_refuses_non_finite_draws(monkeypatch):
     dist = parse_distribution("stable(0.99,-0.99)")
+    overflowing_below(1e-3, monkeypatch)
     with pytest.raises(ParetoTailError, match=r"stable\(0.99,-0.99\) at n=50 .* batch"):
         mc_top_order_stats(dist, 50, [((1,), (0.2,))], reps=20_000, seed=3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_quadrature_refuses_a_quantile_that_overflows():
+    # at alpha = 0.01, Q(v) ~ v^-100 overflows a float below v ~ 1e-3
+    dist = parse_distribution("stable(0.01,-0.01)")
+    assert math.isinf(catalog.upper_quantile(dist, 1e-4))
+    with pytest.raises(ParetoTailError, match="overflow"):
+        quad_moment(dist, 50, 0, 0.005)
 
 
 def mc_by_batch(dist, n, specs, reps, seed, batches=25, stream_rows=None, top=None):
     """(means, standard errors) of mc_top_order_stats, recomputed from one
     top-block draw per stream: stream c holds ceil(stream_rows / bsize)
     consecutive whole batches (``oracle._MC_STREAM_ROWS`` by default) and
-    draws them as ``top(make_rng(seed, c), rows, smax)``, by default one
-    sample_top call whose rows are split into the batches."""
+    draws them as ``top(make_rng(seed, c), rows, smax)``, by default
+    ``spacings_top``, whose rows are split into the batches."""
     bsize = reps // batches
     group = -(-(stream_rows or oracle._MC_STREAM_ROWS) // bsize)
     smax = max(max(s) for s, _ in specs)
-    if top is None:
-
-        def top(rng, rows, smax):
-            return sample_top(dist, rng, rows, n, smax + 1)
+    top = top or spacings_top(dist, n)
 
     sums = np.zeros((batches, len(specs)))
     for c, first in enumerate(range(0, batches, group)):
@@ -484,20 +493,17 @@ def spacings_top(dist, n):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.99])
 @pytest.mark.parametrize("n", [1, 5, 200])
-def test_mc_stable_matches_sample_top_per_batch(alpha, n):
-    # 400-row batches: three to a stream, the last stream holds one
+def test_mc_stable_matches_spacings_per_batch(alpha, n):
+    # 400-row batches: three to a stream, the last stream holds one; near
+    # alpha = 1 every draw is finite
     dist = DistributionSpec("stable", (alpha, -alpha))
     specs = [((0,), (0.2,))]
     if n > 1:
         specs.append(((min(n - 1, 4), 1), (0.2, 0.2)))
-    with np.errstate(all="ignore"):
-        want = mc_by_batch(dist, n, specs, 10_000, 17)
-        if want is None:  # near alpha = 1 some draws under- or overflow
-            with pytest.raises(ParetoTailError, match="non-finite"):
-                mc_top_order_stats(dist, n, specs, reps=10_000, seed=17)
-            return
-        got = mc_top_order_stats(dist, n, specs, reps=10_000, seed=17)
+    want = mc_by_batch(dist, n, specs, 10_000, 17)
+    got = mc_top_order_stats(dist, n, specs, reps=10_000, seed=17)
     for res, mean, se in zip(got, *want):
+        assert math.isfinite(res.value)
         assert res.value == mean and res.std_error == se
 
 
@@ -507,7 +513,7 @@ def test_mc_large_batches_draw_one_stream_each(law):
     # per batch, (seed, b) for batch b
     dist = parse_distribution(law)
     specs = [((3,), (0.5,)), ((3, 1), (0.5, 0.5))]
-    top = spacings_top(dist, 50) if dist.has_numeric_quantile else None
+    top = spacings_top(dist, 50)
     for reps, batches in ((30_000, 25), (50_000, 20), (10_000, 2)):
         assert reps // batches >= oracle._MC_STREAM_ROWS
         got = mc_top_order_stats(dist, 50, specs, reps, 11, batches)
@@ -522,7 +528,7 @@ def test_mc_small_batches_group_into_streams(monkeypatch, law):
     # one sampler call from make_rng(seed, stream)
     dist = parse_distribution(law)
     specs = [((2,), (0.5,))]
-    top = spacings_top(dist, 50) if dist.has_numeric_quantile else None
+    top = spacings_top(dist, 50)
     streams = []
     rng = oracle.make_rng
 
@@ -546,27 +552,28 @@ def test_mc_small_batches_group_into_streams(monkeypatch, law):
 
 
 def test_mc_builds_the_kanter_table_once(monkeypatch):
-    # one table per (alpha, n, k) and process, whatever the threads, reps
-    # or powers of the calls that read it
-    calls = []
-    bounds = catalog._kanter_bounds
+    # the stable quantile's table, solved from Kanter's integral, is built
+    # once per alpha and process, whatever the threads, reps, n or powers of
+    # the calls that read it
+    solves = []
+    solve = catalog._kanter_log_x
 
-    def counting(alpha):
-        calls.append(alpha)
-        return bounds(alpha)
+    def counting(alpha, target, upper):
+        solves.append(alpha)
+        return solve(alpha, target, upper)
 
-    monkeypatch.setattr(catalog, "_kanter_bounds", counting)
+    monkeypatch.setattr(catalog, "_kanter_log_x", counting)
     monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: streams)
-    dist = parse_distribution("stable(0.7,-0.7)")
-    catalog._top_table.cache_clear()
+    catalog._stable_table.cache_clear()
     try:
+        dist = parse_distribution("stable(0.7,-0.7)")
         mc_top_order_stats(dist, 50, [((4,), (1.0,))], reps=10_000, seed=2)
-        mc_top_order_stats(dist, 50, [((4,), (2.0,)), ((4, 1), (1.0, 1.0))], 20_000, 3)
-        assert calls == [0.7]
-        mc_top_order_stats(dist, 60, [((4,), (1.0,))], reps=10_000, seed=2)
-        assert calls == [0.7, 0.7]
+        mc_top_order_stats(dist, 60, [((4,), (2.0,)), ((4, 1), (1.0, 1.0))], 20_000, 3)
+        assert solves == [0.7]
+        mc_top_order_stats(parse_distribution("stable(0.6,-0.6)"), 50, [((4,), (1.0,))], 10_000, 2)
+        assert solves == [0.7, 0.6]
     finally:
-        catalog._top_table.cache_clear()
+        catalog._stable_table.cache_clear()
 
 
 @pytest.mark.parametrize("law", ["pareto(2)", "student_t(3)", "stable(0.7,-0.7)"])
@@ -590,35 +597,32 @@ def test_mc_results_do_not_depend_on_the_thread_count(monkeypatch, law):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("count", [1, 2, 25])
 def test_mc_names_the_lowest_failing_batch(monkeypatch, count):
-    # at seed 5 the top blocks of batches 11, 12 and 15 under- or overflow:
-    # the last batch of stream 3 and the first of stream 4, three 400-row
-    # batches to a stream; stream 3 is held back, so that on several
-    # threads stream 4 fails first
-    dist = parse_distribution("stable(0.99,-0.99)")
+    # at seed 3 with the quantile overflowing below v = 1e-4, the top blocks
+    # of batches 11, 12 and 20 fail: the last batch of stream 3 and the first
+    # of stream 4, three 400-row batches to a stream; stream 3 is held back,
+    # so that on several threads stream 4 fails first
+    dist = parse_distribution("stable(0.5,-0.5)")
     group = math.ceil(oracle._MC_STREAM_ROWS / 400)
     assert group == 3
-    with np.errstate(all="ignore"):  # must reach every thread
-        failing = []
-        for c, first in enumerate(range(0, 25, group)):
-            held = min(group, 25 - first)
-            x = sample_top(dist, make_rng(5, c), held * 400, 1, 1)
-            failing += [
-                first + i
-                for i in range(held)
-                if not np.all(np.isfinite(x[i * 400 : (i + 1) * 400]))
-            ]
-        assert failing == [11, 12, 15]
-        rng = oracle.make_rng
+    failing = []
+    for c, first in enumerate(range(0, 25, group)):
+        held = min(group, 25 - first)
+        # pareto(1) maps v to 1/v
+        x = spacings_top(parse_distribution("pareto(1)"), 1)(make_rng(3, c), held * 400, 0)
+        failing += [first + i for i in range(held) if x[i * 400 : (i + 1) * 400].max() > 1e4]
+    assert failing == [11, 12, 20]
+    overflowing_below(1e-4, monkeypatch)
+    rng = oracle.make_rng
 
-        def late_stream_3(seed, stream):
-            if stream == 3:
-                time.sleep(0.05)
-            return rng(seed, stream)
+    def late_stream_3(seed, stream):
+        if stream == 3:
+            time.sleep(0.05)
+        return rng(seed, stream)
 
-        monkeypatch.setattr(oracle, "make_rng", late_stream_3)
-        monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: count)
-        with pytest.raises(ParetoTailError, match=r"in batch 11:"):
-            mc_top_order_stats(dist, 1, [((0,), (0.2,))], reps=10_000, seed=5)
+    monkeypatch.setattr(oracle, "make_rng", late_stream_3)
+    monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: count)
+    with pytest.raises(ParetoTailError, match=r"in batch 11:"):
+        mc_top_order_stats(dist, 1, [((0,), (0.2,))], reps=10_000, seed=3)
 
 
 def test_mc_thread_count():
@@ -629,25 +633,15 @@ def test_mc_thread_count():
     # thread, two that fit it together may share it
     assert oracle._worker_count(25, oracle._MC_WORK_BYTES + 1) == 1
     assert oracle._worker_count(25, oracle._MC_WORK_BYTES // 2) == min(cpus, 2)
-    # the stable sampler's arrays grow with its candidates per row, not with
-    # n: at the CLI default, --reps 1000000 in 25 batches
-    dist = parse_distribution("stable(0.5,-0.5)")
-    sizes = [catalog._top_sampler(dist, 1_000_000 // 25, n, 5)[1] for n in (50, 200, 2000)]
-    assert max(sizes) < 1.5 * min(sizes)
-    # at n = 50, 100 and 200 two such batches fit the budget together
-    for n in (50, 100, 200):
-        nbytes = catalog._top_sampler(dist, 1_000_000 // 25, n, 5)[1]
-        assert type(nbytes) is int
-        assert oracle._worker_count(25, nbytes) == min(cpus, 2), n
     # a count of threads, whatever the type of the bytes
     for nbytes in (1000, 1000.5, np.float64(oracle._MC_WORK_BYTES / 2.5)):
         assert type(oracle._worker_count(25, nbytes)) is int
 
 
 def test_mc_stable_streams_share_the_budget_on_four_cpus(monkeypatch):
-    # three 40000-row streams at n = 50, of which two fit the byte budget
-    # together: on four CPUs they run on two threads, with the one-thread
-    # result
+    # three 40000-row streams at n = 50 on the spacings path, which declares
+    # its bytes as an int: on four CPUs they run on three threads, with the
+    # one-thread result
     dist = parse_distribution("stable(0.5,-0.5)")
     args = (dist, 50, [4], 120_000, 1, 3, lambda x: x.sum(axis=0))
     threads = []
@@ -662,7 +656,7 @@ def test_mc_stable_streams_share_the_budget_on_four_cpus(monkeypatch):
     sums = oracle._per_batch(*args)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert sums.tolist() == oracle._per_batch(*args).tolist()
-    assert threads == [2, 1]
+    assert threads == [3, 1]
 
 
 @pytest.mark.parametrize(
