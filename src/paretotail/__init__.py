@@ -5,134 +5,49 @@ package builds quantile power series near u = 1 and asymptotic expansions in
 powers of (1/n, n^{-beta/alpha}) for joint moments, covariances and third
 cumulants of the largest order statistics, and checks them against
 independent quadrature and Monte Carlo oracles.
+
+Each module's ``__all__`` declares its public names, and the package
+re-exports them: the oracle's on first access, the others at import.
 """
 
-from .errors import (
-    CapabilityError,
-    InfiniteMomentError,
-    ParetoTailError,
-    SingularInputError,
-    UnsupportedOrderError,
-)
-from .series import (
-    BellTable,
-    FormalSeries,
-    binomial_coefficient,
-    falling_factorial,
-    rising_factorial,
-    series_general_power,
-    series_log,
-    series_multiply,
-    series_power,
-)
-from .inversion import invert_series
-from .quantile import (
-    QuantilePowerSeries,
-    TailModel,
-    quantile_series,
-)
-from .betamoments import (
-    RankSpec,
-    beta_ratio,
-    gamma_ratio,
-    gamma_ratio_coeffs,
-    gamma_ratio_eval,
-    joint_beta_moment,
-    n_free_factor,
-    suffix_sums,
-)
-from .expansion import (
-    CovarianceReport,
-    ExpansionSeries,
-    MomentQuery,
-    cj_coeff,
-    covariance_expansion,
-    dm_coeffs,
-    joint_cumulant_expansion,
-    mean_expansion,
-    moment_expansion,
-    normalized_moment_expansion,
-    pair_moment_expansion,
-    third_cumulant_expansion,
-)
-from .catalog import (
-    CATALOG_NAMES,
-    DistributionSpec,
-    cdf,
-    make_rng,
-    parse_distribution,
-    sample,
-    tail_of,
-    upper_quantile,
-)
-from .ledger import LEDGER, TypoEntry, ledger_rows
+from . import errors, series, inversion, quantile, betamoments, expansion, catalog, ledger
+from .errors import *
+from .series import *
+from .inversion import *
+from .quantile import *
+from .betamoments import *
+from .expansion import *
+from .catalog import *
+from .ledger import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ParetoTailError",
-    "SingularInputError",
-    "InfiniteMomentError",
-    "UnsupportedOrderError",
-    "CapabilityError",
-    "FormalSeries",
-    "BellTable",
-    "binomial_coefficient",
-    "rising_factorial",
-    "falling_factorial",
-    "series_power",
-    "series_log",
-    "series_multiply",
-    "series_general_power",
-    "invert_series",
-    "TailModel",
-    "QuantilePowerSeries",
-    "quantile_series",
-    "RankSpec",
-    "suffix_sums",
-    "gamma_ratio",
-    "beta_ratio",
-    "joint_beta_moment",
-    "n_free_factor",
-    "gamma_ratio_coeffs",
-    "gamma_ratio_eval",
-    "MomentQuery",
-    "ExpansionSeries",
-    "CovarianceReport",
-    "cj_coeff",
-    "moment_expansion",
-    "normalized_moment_expansion",
-    "dm_coeffs",
-    "mean_expansion",
-    "pair_moment_expansion",
-    "covariance_expansion",
-    "joint_cumulant_expansion",
-    "third_cumulant_expansion",
-    "DistributionSpec",
-    "parse_distribution",
-    "tail_of",
-    "upper_quantile",
-    "cdf",
-    "sample",
-    "make_rng",
-    "CATALOG_NAMES",
+# oracle.__all__, looked up on first access (PEP 562) so that importing the
+# package imports neither the oracles nor numpy and scipy
+_ORACLE_NAMES = (
     "OracleResult",
     "RateFit",
     "quad_moment",
     "quad_joint_moment",
     "mc_top_order_stats",
     "convergence_rate_probe",
-    "TypoEntry",
-    "LEDGER",
-    "ledger_rows",
+)
+
+__all__ = [
+    *errors.__all__,
+    *series.__all__,
+    *inversion.__all__,
+    *quantile.__all__,
+    *betamoments.__all__,
+    *expansion.__all__,
+    *catalog.__all__,
+    *_ORACLE_NAMES,
+    *ledger.__all__,
 ]
 
 
 def __getattr__(name):
-    # The oracle names in __all__ are the only ones not bound above: they
-    # are looked up on first access (PEP 562), so that importing the package
-    # does not import the oracles.
-    if name in __all__:
+    if name in _ORACLE_NAMES:
         from . import oracle
 
         return getattr(oracle, name)

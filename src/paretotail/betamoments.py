@@ -25,14 +25,11 @@ from .series import FormalSeries, rising_factorial, series_log
 __all__ = [
     "RankSpec",
     "suffix_sums",
-    "require_finite",
     "gamma_ratio",
     "beta_ratio",
-    "merge_ties",
     "joint_beta_moment",
     "n_free_factor",
     "gamma_ratio_coeffs",
-    "gamma_ratio_eval",
 ]
 
 
@@ -265,18 +262,3 @@ def gamma_ratio_coeffs(theta, imax: int) -> list:
         out[int(-theta)] = 0.0  # e_p(-p) = 0, which float h_p misses by rounding
     return out
 
-
-def gamma_ratio_eval(n: int, theta, imax: int):
-    """Exact n!/Gamma(n+1+theta) next to its truncated asymptotic series."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if n + 1 + theta <= 0:
-        raise InfiniteMomentError(
-            f"n!/Gamma(n+1+theta) pole: n + 1 + theta = {n + 1 + theta} <= 0"
-        )
-    # an int or Fraction theta keeps the reciprocal exact (1 / int is a float)
-    one = Fraction(1) if isinstance(theta, numbers.Rational) else 1
-    exact = one / gamma_ratio(n + 1, theta)
-    coeffs = gamma_ratio_coeffs(theta, imax)
-    series = n ** (-theta) * sum(e * n ** (-i) for i, e in enumerate(coeffs))
-    return exact, series

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ParetoTailError",
+    "SingularInputError",
+    "InfiniteMomentError",
+    "UnsupportedOrderError",
+    "CapabilityError",
+]
+
 
 class ParetoTailError(Exception):
     """Base class for all package errors."""

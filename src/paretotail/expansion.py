@@ -20,7 +20,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .betamoments import beta_ratio, gamma_ratio, gamma_ratio_coeffs, require_finite, suffix_sums
@@ -32,12 +31,9 @@ __all__ = [
     "MomentQuery",
     "ExpansionSeries",
     "CovarianceReport",
-    "cj_coeff",
     "moment_expansion",
     "normalized_moment_expansion",
-    "dm_coeffs",
     "mean_expansion",
-    "pair_moment_expansion",
     "joint_cumulant_expansion",
     "covariance_expansion",
     "third_cumulant_expansion",
@@ -106,8 +102,9 @@ class ExpansionSeries:
         return i + j * self.a
 
     def evaluate(self, n: int):
-        """Partial-sum value at n plus the magnitude of the smallest-order
-        retained nonzero correction."""
+        """Partial-sum value at n plus the magnitude of the highest-order
+        retained nonzero correction, the last and smallest term (0 when only
+        the leading term is nonzero)."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         total = 0.0
@@ -233,14 +230,6 @@ def _quantile_tables(query: MomentQuery) -> Sequence[QuantilePowerSeries]:
     return [built[(type(t), t)] for t in query.theta]
 
 
-def cj_coeff(query: MomentQuery, j: int):
-    """C_j(s : psi): sum over compositions i_1 + ... + i_k = j of the
-    quantile-coefficient product against the n-free beta factor."""
-    if j > query.jmax:
-        raise UnsupportedOrderError(f"j={j} exceeds jmax={query.jmax}")
-    return _cj_upto(query, j, _quantile_tables(query))[j]
-
-
 def _cj_upto(query: MomentQuery, jtop: int, tables) -> list:
     """C_0..C_jtop: with F_i(Q) the gap factor of depth i at suffix sum Q,
     D_i(Q) = F_i(Q) sum_c C^(i)_c D_{i+1}(Q - c) from the empty product
@@ -283,38 +272,9 @@ def normalized_moment_expansion(query: MomentQuery) -> ExpansionSeries:
     return raw.rescaled(c0 ** (-psibar1), lead_shift=-psibar1)
 
 
-def dm_coeffs(query: MomentQuery, M: int, N: int, mmax: int) -> list:
-    """Regrouped coefficients d_m of the single-index expansion in n^{-1/N}
-    when a = M/N in lowest terms: d_m sums the terms e_i(ja - psibar_1) C_j
-    of the (i, j) grid with iN + jM = m."""
-    if M < 1 or N < 1 or math.gcd(M, N) != 1:
-        raise ValueError(f"need a = M/N in lowest terms, got M={M}, N={N}")
-    a = query.tail.a
-    if abs(a - Fraction(M, N)) > 1e-12:
-        raise ValueError(f"a = {a} does not equal {M}/{N}")
-    if mmax > N * query.imax:
-        raise UnsupportedOrderError(
-            f"mmax={mmax} exceeds N*imax = {N * query.imax}"
-        )
-    out = [0] * (mmax + 1)
-    for (i, j), c in moment_expansion(query).terms.items():
-        m = i * N + j * M
-        if m <= mmax:
-            out[m] = out[m] + c
-    return out
-
-
 def mean_expansion(tail: TailModel, s: int, imax: int = 7, jmax: int = 2) -> ExpansionSeries:
     """Expansion of E Y_{ns} for Y_{ns} = X_{n,n-s} / (n c_0)^{1/alpha}."""
     q = MomentQuery(tail, (s,), (1,), imax=imax, jmax=jmax)
-    return normalized_moment_expansion(q)
-
-
-def pair_moment_expansion(
-    tail: TailModel, s1: int, s2: int, imax: int = 7, jmax: int = 2
-) -> ExpansionSeries:
-    """Expansion of E Y_{ns1} Y_{ns2} for s1 >= s2."""
-    q = MomentQuery(tail, (s1, s2), (1, 1), imax=imax, jmax=jmax)
     return normalized_moment_expansion(q)
 
 

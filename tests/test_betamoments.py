@@ -11,7 +11,6 @@ from paretotail.betamoments import (
     beta_ratio,
     gamma_ratio,
     gamma_ratio_coeffs,
-    gamma_ratio_eval,
     joint_beta_moment,
     merge_ties,
     n_free_factor,
@@ -230,26 +229,29 @@ def test_e_polynomials_float_vanish_exactly_at_negative_integers():
         assert es[:p] == pytest.approx([float(e) for e in exact[:p]], rel=1e-12)
 
 
+def _truncated_series(n, theta, imax):
+    """n^{-theta} sum_{i <= imax} e_i n^{-i}, the series of n!/Gamma(n+1+theta)."""
+    return n ** (-theta) * sum(e * n ** (-i) for i, e in enumerate(gamma_ratio_coeffs(theta, imax)))
+
+
 def test_gamma_ratio_eval_agreement():
-    exact, series = gamma_ratio_eval(50, 0.5, 7)
-    assert series == pytest.approx(exact, rel=1e-13)
+    assert _truncated_series(50, 0.5, 7) == pytest.approx(1 / gamma_ratio(51, 0.5), rel=1e-13)
     # integer theta: truncation error is the genuine n^{-8} remainder
-    exact, series = gamma_ratio_eval(20, 1, 7)
-    assert series == pytest.approx(exact, rel=1e-10)
-    with pytest.raises(ValueError):
-        gamma_ratio_eval(0, 1.0, 3)
-    with pytest.raises(InfiniteMomentError):
-        gamma_ratio_eval(2, -4, 3)
+    assert _truncated_series(20, 1, 7) == pytest.approx(Fraction(1) / gamma_ratio(21, 1), rel=1e-10)
+    with pytest.raises(InfiniteMomentError):  # n + 1 + theta <= 0 is a pole
+        gamma_ratio(3, -4)
     with pytest.raises(UnsupportedOrderError):
         gamma_ratio_coeffs(1.0, -1)
 
 
 def test_gamma_ratio_eval_exact_side_stays_exact():
-    # 10!/Gamma(13) = 1/132; an int or Fraction theta keeps it a Fraction,
-    # a float theta keeps the float
-    for theta in (2, Fraction(2)):
-        exact, _ = gamma_ratio_eval(10, theta, 3)
-        assert type(exact) is Fraction and exact == Fraction(1, 132)
-    assert gamma_ratio_eval(10, -2, 3)[0] == Fraction(90)
-    exact, _ = gamma_ratio_eval(10, 2.0, 3)
+    # 10!/Gamma(13) = 1 / gamma_ratio(11, 2) = 1/132: an int theta gives an
+    # int ratio, a Fraction theta keeps 1 / ratio a Fraction, and a float
+    # theta keeps the float
+    assert (type(gamma_ratio(11, 2)), gamma_ratio(11, 2)) == (int, 132)
+    exact = 1 / gamma_ratio(11, Fraction(2))
+    assert type(exact) is Fraction and exact == Fraction(1, 132)
+    exact = 1 / gamma_ratio(11, -2)
+    assert type(exact) is Fraction and exact == Fraction(90)
+    exact = 1 / gamma_ratio(11, 2.0)
     assert type(exact) is float and exact == pytest.approx(1 / 132, rel=1e-15)

@@ -16,10 +16,10 @@ import sympy as sp
 from paretotail.betamoments import n_free_factor
 from paretotail.expansion import (
     MomentQuery,
-    cj_coeff,
     covariance_expansion,
     mean_expansion,
-    pair_moment_expansion,
+    moment_expansion,
+    normalized_moment_expansion,
     third_cumulant_expansion,
 )
 from paretotail.ledger import LEDGER
@@ -124,7 +124,7 @@ def test_covariance_closed_forms():
     tail = TailModel(sp.Integer(2), sp.Integer(1), FormalSeries([C0, C1, C2]))
     s1, s2 = 5, 3
     rep = covariance_expansion(tail, s1, s2)
-    pair = pair_moment_expansion(tail, s1, s2)
+    pair = normalized_moment_expansion(MomentQuery(tail, (s1, s2), (1, 1)))
     m1 = mean_expansion(tail, s1)
     m2 = mean_expansion(tail, s2)
     f0 = pair.terms[(0, 0)] - m1.terms[(0, 0)] * m2.terms[(0, 0)]
@@ -165,7 +165,7 @@ def test_pair_d2_closed_form():
     Hc = C0**-2 * (C0 * C2 - C1**2)
     for s1, s2 in ((7, 4), (5, 2), (4, 3)):
         q = MomentQuery(tail, (s1, s2), (sp.Integer(1), sp.Integer(1)))
-        got = cj_coeff(q, 2)
+        got = moment_expansion(q).terms[(0, 2)]  # C_2, as e_0 = 1
         d2s = sp.Rational(s2 + 1, s1 + 1) + sp.Rational(s1, s2)
         assert sp.simplify(got - (d2s * Hc + C0**-2 * C1**2)) == 0, (s1, s2)
 

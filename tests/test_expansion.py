@@ -23,14 +23,11 @@ from paretotail.errors import InfiniteMomentError, UnsupportedOrderError
 from paretotail.expansion import (
     CovarianceReport,
     MomentQuery,
-    cj_coeff,
     covariance_expansion,
-    dm_coeffs,
     joint_cumulant_expansion,
     mean_expansion,
     moment_expansion,
     normalized_moment_expansion,
-    pair_moment_expansion,
     third_cumulant_expansion,
 )
 from paretotail.quantile import TailModel, quantile_series
@@ -75,7 +72,7 @@ def test_leading_coefficient_structure():
     q = MomentQuery(tail, (4, 2), (1.5, 1.0))
     psi = q.psi
     want = tail.c[0] ** q.psibar1 * n_free_factor(q.s, tuple(-p for p in psi))
-    assert cj_coeff(q, 0) == pytest.approx(want, rel=1e-12)
+    assert moment_expansion(q).terms[(0, 0)] == pytest.approx(want, rel=1e-12)
 
 
 def test_pair_leading_coefficient():
@@ -142,7 +139,7 @@ def test_orders_past_seven_keep_closing_on_the_exact_moment():
 @settings(max_examples=120, deadline=None)
 def test_tie_invariance(tail, s):
     # a tied pair at depth s is the same object as a single power-2 moment
-    pair = pair_moment_expansion(tail, s, s)
+    pair = normalized_moment_expansion(MomentQuery(tail, (s, s), (1, 1)))
     single = normalized_moment_expansion(MomentQuery(tail, (s,), (2.0,)))
     assert pair.lead == pytest.approx(single.lead)
     for ij, c in pair.terms.items():
@@ -199,7 +196,7 @@ def test_covariance_matches_term_combination():
     tail = make_tail(1.0, 2.0, [0.9, -0.2, 0.05])
     s1, s2 = 4, 2
     rep = covariance_expansion(tail, s1, s2)
-    pair = pair_moment_expansion(tail, s1, s2)
+    pair = normalized_moment_expansion(MomentQuery(tail, (s1, s2), (1, 1)))
     m1 = mean_expansion(tail, s1)
     m2 = mean_expansion(tail, s2)
     f0 = pair.terms[(0, 0)] - m1.terms[(0, 0)] * m2.terms[(0, 0)]
@@ -269,24 +266,6 @@ def test_third_cumulant_leading_closed_form():
         k0, _, _ = third_cumulant_expansion(s1, s2, s3, tail)
         D = (s1 * (s1 - 1) * (s1 - 2)) * (s2 * (s2 - 1)) * s3
         assert k0 == pytest.approx(2 * (s1 + s2 - 2) / D, rel=1e-12)
-
-
-def test_dm_regrouping_matches_term_grid():
-    tail = make_tail(2.0, 1.0, [1.5, 0.3, -0.2])  # a = 1/2
-    q = MomentQuery(tail, (3,), (1.0,), imax=4, jmax=2)
-    exp = moment_expansion(q)
-    d = dm_coeffs(q, 1, 2, 8)
-    for m, dm in enumerate(d):
-        want = sum(
-            c
-            for (i, j), c in exp.terms.items()
-            if 2 * i + j == m
-        )
-        assert dm == pytest.approx(want, rel=1e-12, abs=1e-15)
-    with pytest.raises(ValueError):
-        dm_coeffs(q, 2, 4, 4)
-    with pytest.raises(UnsupportedOrderError):
-        dm_coeffs(q, 1, 2, 100)
 
 
 def test_cauchy_type_mean_second_order():
@@ -425,7 +404,7 @@ def test_grid_matches_the_sum_over_compositions(k, alpha, beta, mixed):
         terms = moment_expansion(q).terms
         for j in range(jmax + 1):
             want = _brute_force_cj(q, j)
-            got = cj_coeff(q, j)
+            got = terms[(0, j)]  # e_0 = 1, so the i = 0 row is C_j
             es = gamma_ratio_coeffs(j * tail.a - q.psibar1, 2)
             if isinstance(alpha, Fraction):
                 assert (type(got), got) == (type(want), want), (jmax, j)
@@ -538,7 +517,7 @@ def test_second_cumulant_is_pair_minus_mean_product():
     tail = make_tail(1.5, 2.0, [1.2, -0.3, 0.05])
     s1, s2 = 5, 2
     got = joint_cumulant_expansion(tail, (s1, s2), imax=2, jmax=2)
-    pair = pair_moment_expansion(tail, s1, s2, imax=2, jmax=2).terms
+    pair = normalized_moment_expansion(MomentQuery(tail, (s1, s2), (1, 1), imax=2, jmax=2)).terms
     m1 = mean_expansion(tail, s1, imax=2, jmax=2).terms
     m2 = mean_expansion(tail, s2, imax=2, jmax=2).terms
     assert set(got.terms) == set(pair)
