@@ -8,11 +8,12 @@ per replicate rather than O(n), and mapping only the depths that are read
 through the quantile; every law with a sampler has one.  The batches of
 a Monte Carlo call give its standard error; its random streams, each the
 rows of whole batches and at least ``_MC_STREAM_ROWS`` of them, are its
-units of work.  The streams run on one thread per usable CPU, at most one
-per stream, and only as many as keep their work arrays within
-``_MC_WORK_BYTES`` together; the threads live for that call alone.  The
-layout depends only on the rows per batch, and each batch lands in its own
-slot, so a seeded result is bit for bit that of one thread.
+units of work, each drawn in one sampler call and checked and reduced in
+one pass over all its batches.  The streams run on one thread per usable
+CPU, at most one per stream, and only as many as keep their work arrays
+within ``_MC_WORK_BYTES`` together; the threads live for that call alone.
+The layout depends only on the rows per batch, and each stream lands in
+its own slot, so a seeded result is bit for bit that of one thread.
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
 absorb the density's endpoint singularities exactly, with nodes and weights
@@ -69,9 +70,10 @@ _GAP_CACHE_SIZE = 256
 # together: a stream too large for two runs on the caller's thread alone
 _MC_WORK_BYTES = 64 << 20
 # rows that one Monte Carlo stream draws at the least, in whole batches: a
-# sampler call on fewer is too short for two threads to hide their handing
-# over of the interpreter lock
-_MC_STREAM_ROWS = 1200
+# sampler call and a reduction on fewer cost more in numpy's per-call
+# overhead and in handing the interpreter lock between threads than they
+# save; a 10,000-rep call is one stream on the caller's thread
+_MC_STREAM_ROWS = 10_000
 
 # numpy, scipy.integrate.quad and scipy.special.roots_jacobi are bound on
 # the first call that needs them, so that importing the oracles loads none.
@@ -398,15 +400,16 @@ def _worker_count(streams: int, nbytes: int) -> int:
 
 
 def _per_batch(dist, n, depths, reps, seed, batches, reduce):
-    """The array of ``reduce(x_0), ..., reduce(x_{batches - 1})``, where the
-    top block x_b is a ``reps // batches`` x ``len(depths)`` array whose
-    column i holds X_{n,n-s} at depth s = depths[i].
+    """The rows that ``reduce`` returns for batches 0, ..., batches - 1, in
+    order, where the top block of batch b holds ``reps // batches`` rows
+    whose column i is X_{n,n-s} at depth s = depths[i].
 
     The batch is the unit of the standard error, the stream the unit of
     work: stream c draws the rows of ``ceil(_MC_STREAM_ROWS / bsize)``
     consecutive whole batches (one when a batch holds ``_MC_STREAM_ROWS``
     rows or more; the last stream may hold fewer) in one sampler call, from
-    ``make_rng(seed, c)``, and each batch reduces its own slice of them.
+    ``make_rng(seed, c)``.  ``reduce`` gets the stream whole, shaped
+    (batches held, bsize, len(depths)), and returns one row per batch held.
     The sampler maps through the law's quantile, at the given depths only,
     the top block of v_s = 1 - U_{n,n-s}, built from exponential spacings
     (never sorting n draws).
@@ -414,7 +417,7 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     The streams run on ``_worker_count`` threads that live for this call:
     the caller's and the others', each under a copy of the caller's
     context, so that its ``np.errstate`` holds in all.  The layout depends
-    only on the batch size, and each result lands in its batch's slot, so
+    only on the batch size, and each stream's rows land in its own slot, so
     the array is bit for bit that of drawing the streams in order on one
     thread, and an error raised is that of the lowest failing batch, as on
     one thread.
@@ -433,25 +436,32 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     smax = max(depths)
     depths = list(depths)
 
-    def draw(rng, rows):
-        # the running sum of the spacings: the same additions as
+    def draw(rng, held):
+        # the running sum of the spacings, in place: the same additions as
         # np.cumsum(axis=1), as smax column adds instead of a short loop per
-        # row
-        tops = rng.exponential(1.0, (rows, smax + 1))
+        # row; the spacings go before the quantile runs
+        rows = held * bsize
+        tops = rng.standard_exponential((rows, smax + 1))
         for c in range(1, smax + 1):
             tops[:, c] += tops[:, c - 1]
-        total = rng.gamma(n - smax, 1.0, rows) + tops[:, -1]
-        return upper_quantile(dist, tops[:, depths] / total[:, None])
+        total = rng.standard_gamma(n - smax, rows)
+        total += tops[:, -1]
+        v = tops[:, depths]
+        del tops
+        v /= total[:, None]
+        del total
+        return upper_quantile(dist, v).reshape(held, bsize, len(depths))
 
     # a table that the quantile builds on first use is built here, once,
     # before the threads share it
     upper_quantile(dist, 0.5)
-    # a stream of ``group`` batches holds the spacings and their total, and
-    # per depth read the uniforms and the quantile with its temporaries: up
-    # to ten arrays, for the stable law's Chebyshev sums
-    nbytes = 8 * group * bsize * (smax + 2 + 11 * len(depths))
+    # a stream's peak, in floats per row: the spacings, their total and the
+    # uniforms (and a spare) while it draws, or after, per depth the uniforms
+    # and the quantile with its temporaries, ten arrays in all for the
+    # stable law's Chebyshev sums (and a spare)
+    nbytes = 8 * group * bsize * max(smax + 3 + len(depths), 10 * len(depths) + 1)
 
-    results = [None] * batches
+    results = [None] * streams
     errors = []  # (batch, exception); no stream is handed out after one
     unclaimed = iter(range(streams))
     lock = threading.Lock()
@@ -465,16 +475,16 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
         try:
             for c in iter(claim, None):
                 b = c * group
-                x = draw(make_rng(seed, c), bsize * min(group, batches - b))
-                for lo in range(0, len(x), bsize):
-                    if not np.all(np.isfinite(x[lo : lo + bsize])):
-                        raise ParetoTailError(
-                            f"Monte Carlo top block for {dist} at n={n} has "
-                            f"non-finite values in batch {b}: the simulation "
-                            "under- or overflowed"
-                        )
-                    results[b] = reduce(x[lo : lo + bsize])
-                    b += 1
+                x = draw(make_rng(seed, c), min(group, batches - b))
+                finite = np.isfinite(x).all(axis=(1, 2))
+                if not finite.all():
+                    b += int(finite.argmin())
+                    raise ParetoTailError(
+                        f"Monte Carlo top block for {dist} at n={n} has "
+                        f"non-finite values in batch {b}: the simulation "
+                        "under- or overflowed"
+                    )
+                results[c] = reduce(x)
                 del x  # before the next stream's draw
         except Exception as exc:  # raised on the caller's thread below
             with lock:
@@ -496,7 +506,7 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
             t.join()
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    return np.array(results)
+    return np.concatenate(results)
 
 
 def mc_top_order_stats(
@@ -522,13 +532,14 @@ def mc_top_order_stats(
     column = {si: i for i, si in enumerate(depths)}
 
     def spec_means(x):
-        row = []
-        for s, t in specs:
-            prod = np.ones(len(x))
+        # one mean per batch of the stream x and spec
+        out = np.empty((len(x), len(specs)))
+        for j, (s, t) in enumerate(specs):
+            prod = np.ones(x.shape[:2])
             for si, ti in zip(s, t):
-                prod = prod * x[:, column[si]] ** ti
-            row.append(prod.mean())
-        return row
+                prod = prod * x[:, :, column[si]] ** ti
+            out[:, j] = prod.mean(axis=1)
+        return out
 
     sums = _per_batch(dist, n, depths, reps, seed, batches, spec_means)
     bsize = reps // batches

@@ -197,8 +197,9 @@ def test_third_cumulant_mc(verdict):
     n, s, batches = 400, (3, 2, 1), 50
 
     def batch_kappa(x):
+        # a stream's batches, each row of each batch a top block
         y = x / n  # Y = X / (n c0)^(1/alpha), with c0 = alpha = 1
-        return _joint_cumulant(s, lambda b: np.prod(y[:, list(b)], axis=1).mean())
+        return _joint_cumulant(s, lambda b: np.prod(y[:, :, list(b)], axis=2).mean(axis=1))
 
     depths = range(max(s) + 1)  # column s = depth s
     kappas = _per_batch(parse_distribution("pareto"), n, depths, 10_000_000, 20260823, batches, batch_kappa)

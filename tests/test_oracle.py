@@ -494,8 +494,8 @@ def spacings_top(dist, n):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.99])
 @pytest.mark.parametrize("n", [1, 5, 200])
 def test_mc_stable_matches_spacings_per_batch(alpha, n):
-    # 400-row batches: three to a stream, the last stream holds one; near
-    # alpha = 1 every draw is finite
+    # 400-row batches, all 25 in one stream, reduced whole, against a
+    # reduction batch by batch; near alpha = 1 every draw is finite
     dist = DistributionSpec("stable", (alpha, -alpha))
     specs = [((0,), (0.2,))]
     if n > 1:
@@ -514,7 +514,7 @@ def test_mc_large_batches_draw_one_stream_each(law):
     dist = parse_distribution(law)
     specs = [((3,), (0.5,)), ((3, 1), (0.5, 0.5))]
     top = spacings_top(dist, 50)
-    for reps, batches in ((30_000, 25), (50_000, 20), (10_000, 2)):
+    for reps, batches in ((250_000, 25), (200_000, 20), (20_000, 2)):
         assert reps // batches >= oracle._MC_STREAM_ROWS
         got = mc_top_order_stats(dist, 50, specs, reps, 11, batches)
         want = mc_by_batch(dist, 50, specs, reps, 11, batches, stream_rows=1, top=top)
@@ -537,7 +537,7 @@ def test_mc_small_batches_group_into_streams(monkeypatch, law):
         return rng(seed, stream)
 
     monkeypatch.setattr(oracle, "make_rng", recording)
-    for reps, batches in ((10_000, 25), (10_000, 20), (20_000, 25), (10_000, 10_000)):
+    for reps, batches in ((100_000, 25), (100_000, 20), (200_000, 25), (30_000, 10_000)):
         bsize = reps // batches
         group = math.ceil(oracle._MC_STREAM_ROWS / bsize)
         assert 1 < group < batches
@@ -587,7 +587,7 @@ def test_mc_results_do_not_depend_on_the_thread_count(monkeypatch, law):
         for count in (1, 2, 25):
             monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: count)
             threads = threading.active_count()
-            runs.append(mc_top_order_stats(dist, 50, specs, reps=10_000, seed=5))
+            runs.append(mc_top_order_stats(dist, 50, specs, reps=100_000, seed=5))
             assert threading.active_count() == threads
     finally:
         sys.setswitchinterval(interval)
@@ -597,32 +597,61 @@ def test_mc_results_do_not_depend_on_the_thread_count(monkeypatch, law):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("count", [1, 2, 25])
 def test_mc_names_the_lowest_failing_batch(monkeypatch, count):
-    # at seed 3 with the quantile overflowing below v = 1e-4, the top blocks
-    # of batches 11, 12 and 20 fail: the last batch of stream 3 and the first
-    # of stream 4, three 400-row batches to a stream; stream 3 is held back,
-    # so that on several threads stream 4 fails first
+    # at seed 2 with the quantile overflowing below v = 1e-5, the top blocks
+    # of batches 7, 8 and 15 fail: the last two batches of stream 2 and the
+    # middle one of stream 5, three 4000-row batches to a stream; stream 2
+    # is held back, so that on several threads stream 5 fails first
     dist = parse_distribution("stable(0.5,-0.5)")
-    group = math.ceil(oracle._MC_STREAM_ROWS / 400)
+    group = math.ceil(oracle._MC_STREAM_ROWS / 4000)
     assert group == 3
     failing = []
     for c, first in enumerate(range(0, 25, group)):
         held = min(group, 25 - first)
         # pareto(1) maps v to 1/v
-        x = spacings_top(parse_distribution("pareto(1)"), 1)(make_rng(3, c), held * 400, 0)
-        failing += [first + i for i in range(held) if x[i * 400 : (i + 1) * 400].max() > 1e4]
-    assert failing == [11, 12, 20]
-    overflowing_below(1e-4, monkeypatch)
+        x = spacings_top(parse_distribution("pareto(1)"), 1)(make_rng(2, c), held * 4000, 0)
+        failing += [first + i for i in range(held) if x[i * 4000 : (i + 1) * 4000].max() > 1e5]
+    assert failing == [7, 8, 15]
+    overflowing_below(1e-5, monkeypatch)
     rng = oracle.make_rng
 
-    def late_stream_3(seed, stream):
-        if stream == 3:
+    def late_stream_2(seed, stream):
+        if stream == 2:
             time.sleep(0.05)
         return rng(seed, stream)
 
-    monkeypatch.setattr(oracle, "make_rng", late_stream_3)
+    monkeypatch.setattr(oracle, "make_rng", late_stream_2)
     monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: count)
-    with pytest.raises(ParetoTailError, match=r"in batch 11:"):
-        mc_top_order_stats(dist, 1, [((0,), (0.2,))], reps=10_000, seed=3)
+    with pytest.raises(ParetoTailError, match=r"in batch 7:"):
+        mc_top_order_stats(dist, 1, [((0,), (0.2,))], reps=100_000, seed=2)
+
+
+def test_mc_small_call_draws_one_stream_on_the_callers_thread(monkeypatch):
+    # 10000 reps make one stream: one generator, and no helper thread even
+    # on four CPUs, where 20000 reps in two streams start one
+    dist = parse_distribution("stable(0.5,-0.5)")
+    streams = []
+    started = []
+    rng = oracle.make_rng
+
+    def recording(seed, stream):
+        streams.append(stream)
+        return rng(seed, stream)
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(oracle, "make_rng", recording)
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    mc_top_order_stats(dist, 50, [((4,), (0.2,))], reps=10_000, seed=1)
+    assert streams == [0] and started == []
+    mc_top_order_stats(dist, 50, [((4,), (0.2,))], reps=20_000, seed=1)
+    assert sorted(streams) == [0, 0, 1] and len(started) == 1
+    for t in started:
+        t.join(timeout=10)
+        assert not t.is_alive()
 
 
 def test_mc_thread_count():
@@ -643,7 +672,7 @@ def test_mc_stable_streams_share_the_budget_on_four_cpus(monkeypatch):
     # its bytes as an int: on four CPUs they run on three threads, with the
     # one-thread result
     dist = parse_distribution("stable(0.5,-0.5)")
-    args = (dist, 50, [4], 120_000, 1, 3, lambda x: x.sum(axis=0))
+    args = (dist, 50, [4], 120_000, 1, 3, lambda x: x.sum(axis=1))
     threads = []
     count = oracle._worker_count
 
@@ -673,7 +702,7 @@ def test_mc_spacings_path_declares_its_peak_bytes(monkeypatch, law, depths):
 
     monkeypatch.setattr(oracle, "_worker_count", one_thread)
     # two batches of 20000 rows, a stream each, drawn one after the other
-    args = (parse_distribution(law), 50, depths, 40_000, 1, 2, lambda x: x.sum(axis=0))
+    args = (parse_distribution(law), 50, depths, 40_000, 1, 2, lambda x: x.sum(axis=1))
     oracle._per_batch(*args)  # numpy's allocations on first use
     tracemalloc.start()
     try:
@@ -699,7 +728,7 @@ def test_mc_stable_path_declares_its_peak_bytes(monkeypatch, n, depths):
 
     monkeypatch.setattr(oracle, "_worker_count", one_thread)
     # two batches of 20000 rows, a stream each, drawn one after the other
-    args = (parse_distribution("stable(0.5,-0.5)"), n, depths, 40_000, 1, 2, lambda x: x.sum(axis=0))
+    args = (parse_distribution("stable(0.5,-0.5)"), n, depths, 40_000, 1, 2, lambda x: x.sum(axis=1))
     oracle._per_batch(*args)  # numpy's allocations on first use
     tracemalloc.start()
     try:
