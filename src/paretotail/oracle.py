@@ -16,16 +16,16 @@ The layout depends only on the rows per batch, and each stream lands in
 its own slot, so a seeded result is bit for bit that of one thread.
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
-absorb the density's endpoint singularities exactly, with nodes and weights
-from ``scipy.special.roots_jacobi`` (weights rescaled to sum to 1).  When no
-rung of the node ladder has two rules that agree, or a rule comes out
-non-finite, one or two depths fall back to one nested adaptive ``quad`` in
-the rule's own coordinates, and three or more are refused.  A rule depends
-only on its size and exponents, never on the law, so each (m, a, b, q) is
-built once per process and shared, read-only, by every law and block that
-asks for it.  A law's constants are built once per process too: its tail
-model (``tail_of``) and the denominator q of its gap beta/alpha that picks
-the rules' coordinate.
+absorb the density's endpoint singularities exactly; numpy builds each rule
+by Golub and Welsch's eigenvalue method, so its weights sum to 1 at any
+exponent.  When no rung of the node ladder has two rules that agree, or a
+rule comes out non-finite, one or two depths fall back to one nested
+adaptive ``quad`` in the rule's own coordinates, and three or more are
+refused.  A rule depends only on its size and exponents, never on the law,
+so each (m, a, b, q) is built once per process and shared, read-only, by
+every law and block that asks for it.  A law's constants are built once
+per process too: its tail model (``tail_of``) and the denominator q of its
+gap beta/alpha that picks the rules' coordinate.
 """
 
 from __future__ import annotations
@@ -75,11 +75,10 @@ _MC_WORK_BYTES = 64 << 20
 # save; a 10,000-rep call is one stream on the caller's thread
 _MC_STREAM_ROWS = 10_000
 
-# numpy, scipy.integrate.quad and scipy.special.roots_jacobi are bound on
-# the first call that needs them, so that importing the oracles loads none.
+# numpy and scipy.integrate.quad are bound on the first call that needs
+# them, so that importing the oracles loads neither.
 np = None
 _scipy_quad = None
-_roots_jacobi = None
 
 
 def _load_numpy() -> None:
@@ -90,11 +89,6 @@ def _load_numpy() -> None:
 def _load_quad() -> None:
     global _scipy_quad
     from scipy.integrate import quad as _scipy_quad
-
-
-def _load_roots_jacobi() -> None:
-    global _roots_jacobi
-    from scipy.special import roots_jacobi as _roots_jacobi
 
 
 def quad(func, a, b, **kwargs):
@@ -128,16 +122,6 @@ class RateFit:
     slope: float
     residual: float
     saturated: bool = False
-
-
-def _power_sub(exponent_gap: float, target: float = 2.0) -> int:
-    """Power p for the substitution v = w^p that lifts an endpoint exponent
-    above target - 1."""
-    if exponent_gap <= 0:
-        raise InfiniteMomentError(
-            f"endpoint singularity not integrable (exponent gap {exponent_gap})"
-        )
-    return max(1, math.ceil(target / exponent_gap))
 
 
 def _check_lower_tail(
@@ -205,30 +189,41 @@ def _gap_denominator(alpha: float, beta: float) -> int:
     return (Fraction(beta) / Fraction(alpha)).denominator
 
 
+def _jacobi_rule(m: int, a: float, b: float):
+    """Nodes on (-1, 1) and weights, summing to 1, of the m-point Gauss rule
+    for the weight (1-x)^a (1+x)^b, a, b > -1 (Golub & Welsch, Math. Comp.
+    23, 1969): the eigenvalues of the monic Jacobi matrix and the squared
+    first components of its eigenvectors."""
+    k = np.arange(1, m)
+    s = 2.0 * k + a + b
+    diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b - a) * (b + a) / (s * (s + 2.0))))
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1), UPLO="L")
+    return x, vectors[0] ** 2
+
+
 @functools.lru_cache(maxsize=_JACOBI_CACHE_SIZE)
 def _jacobi_coordinate(m: int, a: float, b: float, q: int):
     """Nodes x, weights w and log scale c of an m-node rule
     ``int_0^1 x^b (1-x)^a f(x) dx ~ exp(c) sum w f(x)``; x and w are
     read-only, since every caller with the same arguments shares them.
 
-    For q > 1 the rule runs in u = x^(1/q), where f is smooth when it is a
-    series in x^(p/q): the weight becomes q u^bu (1-u^q)^a, bu = q(b+1) - 1.
-    The Jacobi weight u^bu (1-u)^a' takes a' where u^bu (1-u^q)^a peaks,
-    u*^q = bu/(qa + bu), a' = bu (1/u* - 1), rounded to an integer so that the
-    ratio (1-u^q)^a / (1-u)^a', carried in the weights, is a polynomial.
+    The rule runs in u = x^(1/q), where f is smooth when it is a series in
+    x^(p/q): the weight becomes q u^bu (1-u^q)^a, bu = q(b+1) - 1.  The
+    Jacobi weight u^bu (1-u)^a' takes a' where u^bu (1-u^q)^a peaks, u*^q =
+    bu/(qa + bu), a' = bu (1/u* - 1), rounded to an integer so that the ratio
+    (1-u^q)^a / (1-u)^a', carried in the weights, is a polynomial; at q = 1,
+    a' = a and the ratio is 1.
     """
-    if q == 1:
-        xi, w = _roots_jacobi(m, a, b)
-        return _frozen((1.0 + xi) / 2.0, w / w.sum(), _log_beta(b + 1.0, a + 1.0))
     bu = q * (b + 1.0) - 1.0
     peak = bu if bu > 0 else 1.0  # for bu <= 0 the weight has no interior peak
     u_star = (peak / (q * a + peak)) ** (1.0 / q)
     a_j = round(peak * (1.0 / u_star - 1.0))
-    xi, w = _roots_jacobi(m, a_j, bu)
+    xi, w = _jacobi_rule(m, a_j, bu)
     u = (1.0 + xi) / 2.0
     log_ratio = a * np.log1p(-(u**q)) - a_j * np.log1p(-u)
     top = log_ratio.max()
-    w = w / w.sum() * np.exp(log_ratio - top)
+    w = w * np.exp(log_ratio - top)
     return _frozen(u**q, w, math.log(q) + _log_beta(bu + 1.0, a_j + 1.0) + top)
 
 
@@ -284,8 +279,6 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
     spent."""
     if np is None:
         _load_numpy()
-    if _roots_jacobi is None:
-        _load_roots_jacobi()
     depths, powers = merge_ties(s, theta)
     k = len(depths)
     tail = tail_of(dist, 0)
@@ -299,8 +292,8 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
         nodes += m**k
         return _gauss_jacobi_rule(dist, powers, psi, coords, log_c, q, m)
 
-    # a non-finite rule (inf weights once n - s passes ~1020, or an
-    # overflowing integrand) stays non-finite with more nodes: fall back
+    # a non-finite rule (an overflowing integrand) stays non-finite with
+    # more nodes: fall back
     with np.errstate(all="ignore"):
         for m1, m2 in _GJ_LADDER:
             if m2**k > _GJ_MAX_NODES:
@@ -310,24 +303,25 @@ def _gauss_jacobi(dist, n, s, theta, epsabs, epsrel):
                 break
             i2 = rule(m2)
             err = abs(i2 - i1)
-            if err <= max(epsabs, epsrel * abs(i2)):
-                return OracleResult(i2, 0.0, "gauss_jacobi", nodes, err), nodes
             if not math.isfinite(err):
                 break
+            if err <= max(epsabs, epsrel * abs(i2)):
+                return OracleResult(i2, 0.0, "gauss_jacobi", nodes, err), nodes
     return None, nodes
 
 
 def _adaptive(dist, n, s, theta, epsabs, epsrel) -> OracleResult:
     """E prod X_{n,n-s_i}^theta_i over one or two strictly decreasing depths
     by nested adaptive ``quad`` in the coordinates of ``_coordinates``, each
-    run in x_i = y^p_i, where ``_power_sub`` lifts the exponent s_i -
-    psibar_i of x_i above k - i - 1 (i from 0), so that inner integrals are
-    smooth in the outer y.  The outer integral asks max(epsabs, epsrel |I|),
-    the inner ones epsabs / 1000 and epsrel / 10.  A node whose v_i
-    underflows to 0 makes inf * 0, and the integral nan."""
+    run in x_i = y^p_i, p_i = ceil((k + 1 - i) / (s_i + 1 - psibar_i)), which
+    lifts the exponent s_i - psibar_i of x_i above k - i - 1 (i from 0), so
+    that inner integrals are smooth in the outer y (``_require_moment`` has
+    made each s_i + 1 - psibar_i positive).  The outer integral asks
+    max(epsabs, epsrel |I|), the inner ones epsabs / 1000 and epsrel / 10.
+    A node whose v_i underflows to 0 makes inf * 0, and the integral nan."""
     k = len(s)
     _, psibar, uppers, log_c = _coordinates(n, s, theta, tail_of(dist, 0).alpha)
-    subs = [_power_sub(si + 1 - pb, 1 + k - i) for i, (si, pb) in enumerate(zip(s, psibar))]
+    subs = [max(1, math.ceil((k + 1 - i) / (s[i] + 1 - psibar[i]))) for i in range(k)]
     evals = 0
 
     def integral(i, v, shift):

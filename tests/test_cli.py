@@ -266,6 +266,16 @@ def test_verify_jmax_moves_the_remainder():
     assert orders == [pytest.approx(-1.0), pytest.approx(-1.5)]
 
 
+@pytest.mark.parametrize("dist", ("cauchy", "frechet(1)"))
+def test_verify_three_depths_past_n_minus_s_1020(dist):
+    # the outer Jacobi exponent n - s_1 - 1 passes the ~1020 where
+    # scipy.special.roots_jacobi's weights overflow, and three depths have
+    # no adaptive fallback
+    argv = ["verify", "--dist", dist, "--s", "3,2,1", "--n", "1100,1200,1300"]
+    code, _ = run_cli(argv)
+    assert code == 0
+
+
 def test_verify_three_depths_without_a_confirmed_rule_is_an_error(capsys):
     argv = ["verify", "--dist", "student_t(3)", "--s", "3,2,1", "--n", "5,10,20"]
     code, out = run_cli(argv)

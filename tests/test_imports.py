@@ -82,6 +82,16 @@ for one in (1.0, F(1)):
     assert loaded_after(code) == "[]"
 
 
+def test_verify_on_cauchy_loads_no_scipy():
+    # numpy builds the Gauss-Jacobi rules, and the Cauchy quantile is numpy's
+    code = (
+        "import io\nfrom paretotail.cli import run\n"
+        "argv = ['verify', '--dist', 'cauchy', '--s', '1', '--n', '50,100,200']\n"
+        "assert run(argv, out=io.StringIO()) == 0\n"
+    )
+    assert loaded_after(code) == "['numpy']"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

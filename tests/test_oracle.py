@@ -296,7 +296,7 @@ def test_quad_cached_rules_give_the_cold_results(law):
 
 
 def test_cached_jacobi_rules_are_read_only_and_bounded():
-    quad_moment(parse_distribution("cauchy"), 50, 1, 1.0)  # loads numpy and scipy
+    quad_moment(parse_distribution("cauchy"), 50, 1, 1.0)  # loads numpy
     for q in (1, 3):
         rule = oracle._jacobi_coordinate(16, 49, 0.5, q)
         assert oracle._jacobi_coordinate(16, 49, 0.5, q) is rule
@@ -305,6 +305,53 @@ def test_cached_jacobi_rules_are_read_only_and_bounded():
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
     assert oracle._jacobi_coordinate.cache_info().maxsize is not None
+
+
+def jacobi_rule(m, a, b):
+    if oracle.np is None:
+        oracle._load_numpy()
+    return oracle._jacobi_rule(m, a, b)
+
+
+@pytest.mark.parametrize(
+    "m, a, b", [(16, 0, 0.0), (24, 0, -0.5), (16, 3, -0.6), (48, 49, 0.5), (96, 900, 0.0)]
+)
+def test_jacobi_rule_matches_scipy_where_its_weights_are_finite(m, a, b):
+    from scipy.special import roots_jacobi
+
+    x, w = jacobi_rule(m, a, b)
+    xs, ws = roots_jacobi(m, a, b)
+    assert np.abs(x - xs).max() <= 1e-14
+    assert np.abs(w - ws / ws.sum()).max() <= 1e-10 * w.max()
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("a", (1_500, 20_000))
+@pytest.mark.parametrize("m", (16, 96))
+def test_jacobi_rule_stays_finite_past_scipys_overflow(a, m):
+    # scipy's rule scales its weights by 2^(a+b+1) B(a+1, b+1), which
+    # overflows past a + b of about 1020; these weights sum to 1 instead,
+    # and the rule is exact for (1+x)^2, the Beta moment
+    # 4 (b+1) (b+2) / ((a+b+2) (a+b+3))
+    for b in (0.0, 0.5, 3.0):
+        x, w = jacobi_rule(m, a, b)
+        assert np.isfinite(w).all() and w.sum() == pytest.approx(1.0, abs=1e-13)
+        want = 4 * (b + 1) * (b + 2) / ((a + b + 2) * (a + b + 3))
+        assert w @ (1 + x) ** 2 == pytest.approx(want, rel=1e-11), b
+
+
+def test_jacobi_rule_against_mpmath():
+    # a 40-digit integral of exp(x) cos(3x) against (1-x)^3 (1+x)^-0.6,
+    # divided by the weight's mass; 96 nodes integrate it to rounding
+    mpmath = pytest.importorskip("mpmath")
+    a, b = 3, mpmath.mpf(-0.6)
+    with mpmath.workdps(40):
+        weight = lambda x: (1 - x) ** a * (1 + x) ** b
+        mass = mpmath.quad(weight, [-1, 0, 1])
+        want = mpmath.quad(lambda x: weight(x) * mpmath.exp(x) * mpmath.cos(3 * x), [-1, 0, 1])
+        want = float(want / mass)
+    x, w = jacobi_rule(96, 3, -0.6)
+    assert abs(w @ (np.exp(x) * np.cos(3 * x)) - want) <= 1e-15
 
 
 def test_quad_refuses_lower_tail_infinite_moments():
@@ -328,9 +375,23 @@ def test_quad_refuses_lower_tail_infinite_moments():
     assert abs(quad_moment(cauchy, 3, 1, 1.0).value) < 1e-12
 
 
+def test_gauss_jacobi_confirms_past_n_minus_s_1020():
+    # the outer Jacobi exponent n - s - 1 is 2998, past the ~1020 where
+    # scipy.special.roots_jacobi's weights overflow
+    dist = parse_distribution("cauchy")
+    res = quad_moment(dist, 3000, 1, 1.0)
+    ref = _adaptive(dist, 3000, (1,), (1.0,))
+    assert res.method == "gauss_jacobi"
+    epsabs, epsrel = _TOL[1]
+    assert abs(res.value - ref.value) <= max(epsabs, epsrel * abs(ref.value))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_gauss_jacobi_stops_at_first_non_finite_rule(monkeypatch):
-    # roots_jacobi's weights overflow once n - s passes ~1020, so the first
-    # rule is not finite and no further rule is tried
+    # an integrand that overflows stays non-finite with more nodes, so the
+    # first non-finite rule ends the ladder; the smallest v of the 16-node
+    # rule is 1.4e-3 over one depth and 1.7e-5 over two, of the 24-node
+    # rule 8.1e-4 and 4.8e-6
     sizes = []
     rule = oracle._gauss_jacobi_rule
 
@@ -339,12 +400,19 @@ def test_gauss_jacobi_stops_at_first_non_finite_rule(monkeypatch):
         return rule(*args)
 
     monkeypatch.setattr(oracle, "_gauss_jacobi_rule", counting)
-    dist = parse_distribution("cauchy")
-    res = quad_moment(dist, 3000, 1, 1.0)
-    ref = _adaptive(dist, 3000, (1,), (1.0,))
-    assert res.method == "quad1d"
-    assert len(sizes) <= 2
-    assert res.value == ref.value and res.cost == ref.cost + sum(sizes)
+    dist = parse_distribution("pareto")
+    for s, threshold, rules in (
+        ((1,), 0.1, [16]),
+        ((1,), 1e-3, [16, 24]),
+        ((3, 1), 0.1, [16]),
+        ((3, 1), 1e-5, [16, 24]),
+    ):
+        sizes.clear()
+        with monkeypatch.context() as patch:
+            overflowing_below(threshold, patch)
+            res, nodes = _gauss_jacobi(dist, 50, s, (1.0,) * len(s), *_TOL[len(s)])
+        assert res is None, (s, threshold)
+        assert sizes == rules and nodes == sum(m ** len(s) for m in rules)
 
 
 def test_quad_refuses_complex_powers_on_two_sided_laws():
@@ -448,6 +516,10 @@ def test_quadrature_refuses_a_quantile_that_overflows():
     assert math.isinf(catalog.upper_quantile(dist, 1e-4))
     with pytest.raises(ParetoTailError, match="overflow"):
         quad_moment(dist, 50, 0, 0.005)
+    # at n = 20 the 16-node rule stays finite and the 24-node one does not:
+    # their infinite difference confirms no rule
+    with pytest.raises(ParetoTailError, match="overflow"):
+        quad_moment(dist, 20, 0, 0.005)
 
 
 def mc_by_batch(dist, n, specs, reps, seed, batches=25, stream_rows=None, top=None):
