@@ -3,17 +3,18 @@
 Nothing here reuses the expansion machinery.  Moments of top order
 statistics are computed by integrating quantiles against the exact
 multivariate beta density of uniform order statistics, or by simulating the
-top block of uniforms directly through exponential spacings, in O(k) work
-per replicate rather than O(n), and mapping only the depths that are read
-through the quantile; every law with a sampler has one.  The batches of
-a Monte Carlo call give its standard error; its random streams, each the
-rows of whole batches and at least ``_MC_STREAM_ROWS`` of them, are its
-units of work, each drawn in one sampler call and checked and reduced in
-one pass over all its batches.  The streams run on one thread per usable
-CPU, at most one per stream, and only as many as keep their work arrays
-within ``_MC_WORK_BYTES`` together; the threads live for that call alone.
-The layout depends only on the rows per batch, and each stream lands in
-its own slot, so a seeded result is bit for bit that of one thread.
+top block of uniforms directly by Renyi's representation, from s_max + 1
+exponential spacings and so in O(s_max) work per replicate rather than O(n),
+and mapping only the depths that are read through the quantile; every law
+with a sampler has one.  The batches of a Monte Carlo call give its
+standard error; its random streams, each the rows of whole batches and at
+least ``_MC_STREAM_ROWS`` of them, are its units of work, each drawn in one
+sampler call and checked and reduced in one pass over all its batches.  The
+streams run on one thread per usable CPU, at most one per stream, and only
+as many as keep their work arrays within ``_MC_WORK_BYTES`` together; the
+threads live for that call alone.  The layout depends only on the rows per
+batch, and each stream lands in its own slot, so a seeded result is bit for
+bit that of one thread.
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
 absorb the density's endpoint singularities exactly; numpy builds each rule
@@ -33,6 +34,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -149,10 +151,14 @@ def _check_lower_tail(
 
 def _require_moment(dist: DistributionSpec, n: int, s, theta, margin=0.0) -> None:
     """The one existence check of every oracle: refuse E prod
-    X_{n,n-s_i}^theta_i over depths s unless they are nonincreasing, the
-    powers stay real on the law's support, both tails leave the moment finite
-    (by more than ``margin``) and the deepest order statistic is in the
-    sample."""
+    X_{n,n-s_i}^theta_i over depths s unless n and the depths are integers,
+    the depths >= 0 and nonincreasing, the powers stay real on the law's
+    support, both tails leave the moment finite (by more than ``margin``) and
+    the deepest order statistic is in the sample."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if not all(isinstance(si, numbers.Integral) and si >= 0 for si in s):
+        raise ValueError(f"depths must be integers >= 0, got {s}")
     if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
         raise ValueError(f"depths must be nonincreasing, got {s}")
     if dist.two_sided and not all(float(t).is_integer() for t in theta):
@@ -396,7 +402,8 @@ def _worker_count(streams: int, nbytes: int) -> int:
 def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     """The rows that ``reduce`` returns for batches 0, ..., batches - 1, in
     order, where the top block of batch b holds ``reps // batches`` rows
-    whose column i is X_{n,n-s} at depth s = depths[i].
+    whose column i is X_{n,n-s} at depth s = depths[i]; the depths must be
+    strictly increasing within [0, n).
 
     The batch is the unit of the standard error, the stream the unit of
     work: stream c draws the rows of ``ceil(_MC_STREAM_ROWS / bsize)``
@@ -405,8 +412,10 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     ``make_rng(seed, c)``.  ``reduce`` gets the stream whole, shaped
     (batches held, bsize, len(depths)), and returns one row per batch held.
     The sampler maps through the law's quantile, at the given depths only,
-    the top block of v_s = 1 - U_{n,n-s}, built from exponential spacings
-    (never sorting n draws).
+    the top block of v_s = 1 - U_{n,n-s} in Renyi's form (Renyi, Acta Math.
+    Acad. Sci. Hungar. 4, 1953): v_s = 1 - exp(-T_s), T_s = E_0 / n + ... +
+    E_s / (n - s), from one call's s_max + 1 standard exponentials E per row,
+    never sorting n draws nor drawing the rest of the sample.
 
     The streams run on ``_worker_count`` threads that live for this call:
     the caller's and the others', each under a copy of the caller's
@@ -423,37 +432,45 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     bsize = reps // batches
     if bsize < 1:
         raise ValueError(f"reps={reps} leave no rows for each of {batches} batches")
+    depths = list(depths)
+    # draw writes the uniforms of a depth only when its loop reaches it
+    increasing = all(a < b for a, b in zip(depths, depths[1:]))
+    if not (depths and increasing and 0 <= depths[0] and depths[-1] < n):
+        raise ValueError(f"depths must be strictly increasing within [0, n={n}), got {depths}")
     if np is None:
         _load_numpy()
     group = -(-_MC_STREAM_ROWS // bsize)  # batches per stream
     streams = -(-batches // group)
-    smax = max(depths)
-    depths = list(depths)
+    smax = depths[-1]
 
     def draw(rng, held):
-        # the running sum of the spacings, in place: the same additions as
-        # np.cumsum(axis=1), as smax column adds instead of a short loop per
-        # row; the spacings go before the quantile runs
+        # Renyi's form: v_s = -expm1(-T_s), T_s = sum_{c<=s} E_c / (n - c),
+        # with the spacings E depth-major, so that each step is a contiguous
+        # row divided in place and added into one running sum, which holds
+        # -T_s; no name keeps the spacings alive while the quantile runs
         rows = held * bsize
-        tops = rng.standard_exponential((rows, smax + 1))
-        for c in range(1, smax + 1):
-            tops[:, c] += tops[:, c - 1]
-        total = rng.standard_gamma(n - smax, rows)
-        total += tops[:, -1]
-        v = tops[:, depths]
-        del tops
-        v /= total[:, None]
-        del total
-        return upper_quantile(dist, v).reshape(held, bsize, len(depths))
+        e = rng.standard_exponential((smax + 1, rows))
+        v = np.empty((len(depths), rows))
+        neg_t = e[0]
+        neg_t /= -n
+        j = 0
+        for c in range(smax + 1):
+            if c:
+                neg_t += np.divide(e[c], c - n, out=e[c])
+            if c == depths[j]:
+                np.negative(np.expm1(neg_t, out=v[j]), out=v[j])
+                j += 1
+        del e, neg_t
+        return upper_quantile(dist, v).T.reshape(held, bsize, len(depths))
 
     # a table that the quantile builds on first use is built here, once,
     # before the threads share it
     upper_quantile(dist, 0.5)
-    # a stream's peak, in floats per row: the spacings, their total and the
-    # uniforms (and a spare) while it draws, or after, per depth the uniforms
-    # and the quantile with its temporaries, ten arrays in all for the
-    # stable law's Chebyshev sums (and a spare)
-    nbytes = 8 * group * bsize * max(smax + 3 + len(depths), 10 * len(depths) + 1)
+    # a stream's peak, in floats per row: the spacings and the uniforms (and
+    # a spare) while it draws, or after, per depth the uniforms and the
+    # quantile with its temporaries, ten arrays in all for the stable law's
+    # Chebyshev sums (and a spare)
+    nbytes = 8 * group * bsize * max(smax + 2 + len(depths), 10 * len(depths) + 1)
 
     results = [None] * streams
     errors = []  # (batch, exception); no stream is handed out after one
@@ -517,9 +534,18 @@ def mc_top_order_stats(
     the same simulated top block, which every law maps through its quantile
     (``_per_batch``).  Returns one OracleResult per spec, with
     batch-mean standard errors; deterministic for fixed (seed, reps,
-    batches), whatever the number of threads.
+    batches), whatever the number of threads.  Empty specs, a non-integer
+    reps, batches or seed, and a negative seed are refused with a
+    ``ValueError`` before any draw.
     """
     specs = [(tuple(s), tuple(t)) for s, t in specs]
+    if not specs:
+        raise ValueError("specs must hold at least one (depths, powers) pair")
+    for name, value in (("reps", reps), ("batches", batches), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     for s, t in specs:
         _require_moment(dist, n, s, t, _MC_MARGIN)
     depths = sorted({si for s, _ in specs for si in s})

@@ -445,18 +445,66 @@ def test_mc_shares_the_quadrature_guard():
 
 
 def test_mc_uniform_top_block():
-    # moments of 1 - U_{n,n-s} have the exact value (via the unit Frechet
-    # trick: use pareto with theta = -1 powers of X = v^{-1})
+    # moments of v_s = 1 - U_{n,n-s} have exact values (via the unit Frechet
+    # trick: use pareto with theta = -1 powers of X = v^{-1}): v_s is the
+    # (s+1)-th smallest of n uniforms, so E v_s = (s+1)/(n+1) and, for t < s,
+    # E v_t v_s = (t+1)(s+2)/((n+1)(n+2)), also at n = 1 and with v_s near 1
     dist = parse_distribution("pareto(1)")
-    n = 100
-    specs = [((s,), (-1.0,)) for s in (0, 1, 2, 3)]
-    results = mc_top_order_stats(dist, n, specs, reps=200_000, seed=5)
-    for (s_vec, _), res in zip(specs, results):
-        s = s_vec[0]
-        want = (s + 1) / (n + 1)  # E(1 - U_{n,n-s})
-        assert abs(res.value - want) <= 4 * res.std_error
-        assert res.std_error > 0
-        assert res.method == "mc"
+    for n in (1, 5, 100, 200):
+        depths = range(min(n, 5))
+        specs = [((s,), (-1.0,)) for s in depths]
+        specs += [((s, t), (-1.0, -1.0)) for s in depths for t in range(s)]
+        results = mc_top_order_stats(dist, n, specs, reps=200_000, seed=5)
+        for (s_vec, _), res in zip(specs, results):
+            if len(s_vec) == 1:
+                want = (s_vec[0] + 1) / (n + 1)
+            else:
+                s, t = s_vec
+                want = (t + 1) * (s + 2) / ((n + 1) * (n + 2))
+            assert abs(res.value - want) <= 4 * res.std_error, (n, s_vec)
+            assert res.std_error > 0
+            assert res.method == "mc"
+
+
+@pytest.mark.parametrize("n, s", [(1, 0), (5, 4), (200, 3), (10_000, 3)])
+def test_mc_top_block_matches_uniform_spacings(n, s):
+    # the former construction of the top block, v_s = S_s / (S_s + G) with
+    # S_s the running sum of s + 1 exponential spacings and G ~ Gamma(n - s),
+    # is a referee in law: a two-sample Kolmogorov-Smirnov test per depth
+    # against Renyi's form, both through the same quantile
+    from scipy import stats
+
+    dist = parse_distribution("pareto(1)")
+    x = oracle._per_batch(dist, n, range(s + 1), 20_000, 8, 2, lambda top: top).reshape(-1, s + 1)
+    rng = make_rng(9)
+    tops = np.cumsum(rng.standard_exponential((20_000, s + 1)), axis=1)
+    v = tops / (tops[:, -1] + rng.standard_gamma(n - s, 20_000))[:, None]
+    y = catalog.upper_quantile(dist, v)
+    for c in range(s + 1):
+        assert stats.ks_2samp(x[:, c], y[:, c]).pvalue > 1e-3, c
+
+
+def test_mc_stream_draws_one_exponential_block(monkeypatch):
+    # Renyi's form needs only the s_max + 1 spacings of each row: one
+    # standard_exponential call per stream and no gamma draw for the rest of
+    # the sample; 100,000 reps in 25 batches are 9 streams of 3 batches
+    calls = []
+    rng = oracle.make_rng
+
+    class Recording:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self.gen, name)
+
+    monkeypatch.setattr(oracle, "make_rng", lambda seed, stream: Recording(rng(seed, stream)))
+    specs = [((4,), (0.5,)), ((4, 1), (0.5, 0.5))]
+    for law in ("pareto(2)", "stable(0.5,-0.5)"):
+        calls.clear()
+        mc_top_order_stats(parse_distribution(law), 50, specs, reps=100_000, seed=3)
+        assert calls == ["standard_exponential"] * 9, law
 
 
 def test_mc_matches_quadrature():
@@ -552,13 +600,15 @@ def mc_by_batch(dist, n, specs, reps, seed, batches=25, stream_rows=None, top=No
 
 
 def spacings_top(dist, n):
-    """The top block of n draws from ``dist`` at every depth up to smax,
-    through the quantile of the exponential spacings' running sums."""
+    """The top block of n draws from ``dist`` at every depth up to smax, one
+    row per draw, through the quantile of Renyi's form v_s = 1 - U_{n,n-s} =
+    1 - exp(-T_s), T_s = E_0 / n + ... + E_s / (n - s), from depth-major
+    exponential spacings E."""
 
     def top(rng, rows, smax):
-        tops = np.cumsum(rng.exponential(1.0, (rows, smax + 1)), axis=1)
-        total = rng.gamma(n - smax, 1.0, rows) + tops[:, -1]
-        return catalog.upper_quantile(dist, tops / total[:, None])
+        steps = rng.standard_exponential((smax + 1, rows)) / (n - np.arange(smax + 1.0))[:, None]
+        v = -np.expm1(-np.cumsum(steps, axis=0))
+        return catalog.upper_quantile(dist, v).T
 
     return top
 
@@ -818,6 +868,46 @@ def test_mc_refuses_batches_with_no_rows():
         mc_top_order_stats(dist, 50, [((1,), (1.0,))], 10_000, 1, batches=10_001)
     (res,) = mc_top_order_stats(dist, 50, [((1,), (1.0,))], 10_000, 1, batches=10_000)
     assert math.isfinite(res.value) and res.cost == 10_000
+
+
+def test_oracles_refuse_non_integer_or_negative_depths():
+    # a fractional n or depth names no order statistic, and neither does a
+    # negative depth: each is a ValueError, not a moment or an infinite one
+    dist = parse_distribution("pareto")
+    for args, name in (((20, 1.5, 1.0), "depths"), ((20, -1, 1.0), "depths"), ((20.0, 1, 1.0), "n")):
+        with pytest.raises(ValueError, match=name):
+            quad_moment(dist, *args)
+    with pytest.raises(ValueError, match="depths"):
+        quad_joint_moment(dist, 20, 2.5, 1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="depths"):
+        mc_top_order_stats(dist, 20, [((1, -1), (1.0, 1.0))], 10_000, 1)
+    assert quad_moment(dist, np.int64(20), np.int64(1), 1.0) == quad_moment(dist, 20, 1, 1.0)
+
+
+def test_mc_refuses_bad_arguments_before_any_draw(monkeypatch):
+    def no_draw(seed, stream):
+        raise AssertionError("drew before refusing the arguments")
+
+    monkeypatch.setattr(oracle, "make_rng", no_draw)
+    dist = parse_distribution("pareto(2)")
+    spec = [((1,), (1.0,))]
+    for args, kwargs, name in (
+        ((dist, 50, [], 10_000, 1), {}, "specs"),
+        ((dist, 50, spec, 10_000.0, 1), {}, "reps"),
+        ((dist, 50, spec, 10_000, 1), {"batches": 25.0}, "batches"),
+        ((dist, 50, spec, 10_000, -1), {}, "seed"),
+        ((dist, 50, spec, 10_000, 1.5), {}, "seed"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            mc_top_order_stats(*args, **kwargs)
+
+
+@pytest.mark.parametrize("depths", [[2, 1], [1, 1], [-1, 2], [0, 50], []])
+def test_mc_sampler_refuses_depths_it_would_leave_unset(depths):
+    # the sampler writes a depth's column only when its loop reaches that
+    # depth: unsorted, tied, negative or out-of-sample depths are refused
+    with pytest.raises(ValueError, match="strictly increasing"):
+        oracle._per_batch(parse_distribution("pareto(2)"), 50, depths, 10_000, 1, 2, lambda x: x)
 
 
 def test_mc_guard_refuses_near_boundary():
