@@ -29,11 +29,10 @@ from .expansion import (
 )
 from .ledger import ledger_rows
 from .oracle import (
-    _MC_MARGIN,
     _depth_blocks,
+    _infinite_square,
     _joint_cumulant,
     _quad,
-    _require_moment,
     convergence_rate_probe,
     mc_top_order_stats,
     quad_joint_moment,
@@ -208,16 +207,14 @@ def _require_mc_standard_error(dist: DistributionSpec, s, n_grid) -> None:
     """Refuse a Monte Carlo check whose product has an infinite second
     moment at some n of the grid: its batch standard error, and so the
     noise floor, would mean nothing."""
-    squared = (2.0,) * len(s)
-    try:
-        for n in n_grid:
-            _require_moment(dist, n, s, squared, _MC_MARGIN)
-    except InfiniteMomentError as exc:
-        raise ParetoTailError(
-            f"--oracle mc cannot verify {dist} at --s {','.join(map(str, s))}: "
-            f"the squared product has an infinite mean, so the standard error "
-            f"is undefined ({exc})"
-        ) from None
+    for n in n_grid:
+        refusal = _infinite_square(dist, n, s, (1.0,) * len(s))
+        if refusal is not None:
+            raise ParetoTailError(
+                f"--oracle mc cannot verify {dist} at --s {','.join(map(str, s))}: "
+                f"the squared product has an infinite mean, so the standard error "
+                f"is undefined ({refusal})"
+            )
 
 
 def _verify_values(args, dist, s, n_grid):
@@ -234,6 +231,8 @@ def _verify_values(args, dist, s, n_grid):
     # strictly below the remainder, whose own terms' float orders may round down
     exp = grid.truncated(remainder - 1e-9)
     blocks = _depth_blocks(s)
+    # one Monte Carlo draw per stream serves every n (common random numbers)
+    mc_grid = dict.fromkeys(n_grid)
     rows = []
     for n in n_grid:
         ev = exp.evaluate(n)[0]
@@ -248,7 +247,7 @@ def _verify_values(args, dist, s, n_grid):
             floor = 1e-9 if len(s) == 1 else 1e-8
         else:
             specs = [(b, (1.0,) * len(b)) for b in blocks]
-            res = mc_top_order_stats(dist, n, specs, args.reps, args.seed)
+            res = mc_top_order_stats(dist, n, specs, args.reps, args.seed, grid=mc_grid)
             floor = 4.0 * res[0].std_error / norm
         moment = dict(zip(blocks, (r.value for r in res)))
         rows.append((n, ev, _joint_cumulant(s, moment.__getitem__) / norm, floor))

@@ -14,7 +14,10 @@ streams run on one thread per usable CPU, at most one per stream, and only
 as many as keep their work arrays within ``_MC_WORK_BYTES`` together; the
 threads live for that call alone.  The layout depends only on the rows per
 batch, and each stream lands in its own slot, so a seeded result is bit for
-bit that of one thread.
+bit that of one thread.  The spacings do not depend on n, so a caller that
+loops over n (``verify``) passes its grid of n, and each stream is drawn
+once and mapped at every n: the n of a seeded request share common random
+numbers, and their errors are correlated.
 
 The quadrature oracles first try a tensor Gauss-Jacobi rule whose weights
 absorb the density's endpoint singularities exactly; numpy builds each rule
@@ -37,6 +40,7 @@ import math
 import numbers
 import os
 import threading
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -403,7 +407,9 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     """The rows that ``reduce`` returns for batches 0, ..., batches - 1, in
     order, where the top block of batch b holds ``reps // batches`` rows
     whose column i is X_{n,n-s} at depth s = depths[i]; the depths must be
-    strictly increasing within [0, n).
+    strictly increasing within [0, n).  ``n`` may also be a sequence of
+    sample sizes, a grid: then the result is a list of those arrays, one
+    per n in order, each bit for bit that of a call at that n alone.
 
     The batch is the unit of the standard error, the stream the unit of
     work: stream c draws the rows of ``ceil(_MC_STREAM_ROWS / bsize)``
@@ -415,15 +421,19 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     the top block of v_s = 1 - U_{n,n-s} in Renyi's form (Renyi, Acta Math.
     Acad. Sci. Hungar. 4, 1953): v_s = 1 - exp(-T_s), T_s = E_0 / n + ... +
     E_s / (n - s), from one call's s_max + 1 standard exponentials E per row,
-    never sorting n draws nor drawing the rest of the sample.
+    never sorting n draws nor drawing the rest of the sample.  None of the
+    spacings E depends on n, so a stream draws them once and maps, checks
+    and reduces them at each n of the grid in turn: the n share common
+    random numbers.
 
     The streams run on ``_worker_count`` threads that live for this call:
     the caller's and the others', each under a copy of the caller's
     context, so that its ``np.errstate`` holds in all.  The layout depends
     only on the batch size, and each stream's rows land in its own slot, so
-    the array is bit for bit that of drawing the streams in order on one
-    thread, and an error raised is that of the lowest failing batch, as on
-    one thread.
+    the arrays are bit for bit those of drawing the streams in order on one
+    thread.  An error raised is the one that a call per n would raise
+    first: at the first failing n of the grid, that of its lowest failing
+    batch, as on one thread.
     """
     if reps < 10_000:
         raise ValueError(f"reps must be >= 10000, got {reps}")
@@ -432,74 +442,99 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
     bsize = reps // batches
     if bsize < 1:
         raise ValueError(f"reps={reps} leave no rows for each of {batches} batches")
+    grid = [n] if isinstance(n, numbers.Integral) else list(n)
     depths = list(depths)
-    # draw writes the uniforms of a depth only when its loop reaches it
+    # the uniforms of a depth are written only when its loop reaches it
     increasing = all(a < b for a, b in zip(depths, depths[1:]))
-    if not (depths and increasing and 0 <= depths[0] and depths[-1] < n):
-        raise ValueError(f"depths must be strictly increasing within [0, n={n}), got {depths}")
+    if not (depths and increasing and 0 <= depths[0] and depths[-1] < min(grid)):
+        raise ValueError(
+            f"depths must be strictly increasing within [0, n={min(grid)}), got {depths}"
+        )
     if np is None:
         _load_numpy()
     group = -(-_MC_STREAM_ROWS // bsize)  # batches per stream
     streams = -(-batches // group)
     smax = depths[-1]
 
-    def draw(rng, held):
+    def uniforms(e, n, keep):
         # Renyi's form: v_s = -expm1(-T_s), T_s = sum_{c<=s} E_c / (n - c),
         # with the spacings E depth-major, so that each step is a contiguous
-        # row divided in place and added into one running sum, which holds
-        # -T_s; no name keeps the spacings alive while the quantile runs
-        rows = held * bsize
-        e = rng.standard_exponential((smax + 1, rows))
-        v = np.empty((len(depths), rows))
-        neg_t = e[0]
-        neg_t /= -n
+        # row added into one running sum, which holds -T_s.  Spacings that a
+        # later n reads again are kept, each step going through one scratch
+        # row; otherwise each row is divided in place
+        v = np.empty((len(depths), e.shape[1]))
+        step = np.empty(e.shape[1]) if keep else None
+        neg_t = np.divide(e[0], -n, out=None if keep else e[0])
         j = 0
         for c in range(smax + 1):
             if c:
-                neg_t += np.divide(e[c], c - n, out=e[c])
+                neg_t += np.divide(e[c], c - n, out=step if keep else e[c])
             if c == depths[j]:
                 np.negative(np.expm1(neg_t, out=v[j]), out=v[j])
                 j += 1
-        del e, neg_t
-        return upper_quantile(dist, v).T.reshape(held, bsize, len(depths))
+        return v
 
     # a table that the quantile builds on first use is built here, once,
     # before the threads share it
     upper_quantile(dist, 0.5)
     # a stream's peak, in floats per row: the spacings and the uniforms (and
-    # a spare) while it draws, or after, per depth the uniforms and the
-    # quantile with its temporaries, ten arrays in all for the stable law's
-    # Chebyshev sums (and a spare)
-    nbytes = 8 * group * bsize * max(smax + 2 + len(depths), 10 * len(depths) + 1)
+    # a spare) while it draws at its last n, or after, per depth the
+    # uniforms and the quantile with its temporaries, ten arrays in all for
+    # the stable law's Chebyshev sums (and a spare); the last n frees the
+    # spacings before its quantile runs, an earlier one holds them through it
+    quantile = 10 * len(depths) + 1
+    per_row = max(smax + 2 + len(depths), quantile) if len(grid) == 1 else smax + 1 + quantile
+    nbytes = 8 * group * bsize * per_row
 
-    results = [None] * streams
-    errors = []  # (batch, exception); no stream is handed out after one
+    results = [[None] * streams for _ in grid]
+    errors = []  # ((index in the grid, batch), exception)
     unclaimed = iter(range(streams))
     lock = threading.Lock()
 
+    def beaten(key) -> bool:
+        # whether an error raised yet sorts before one at key; call under
+        # the lock
+        return any(k < key for k, _ in errors)
+
     def claim():
+        # streams go out in order, so an error that sorts before a stream's
+        # first batch at the first n sorts before every later stream's
         with lock:
-            return None if errors else next(unclaimed, None)
+            c = next(unclaimed, None)
+            return None if c is None or beaten((0, c * group)) else c
 
     def work():
-        b = -1  # an error before the first stream sorts first
-        try:
-            for c in iter(claim, None):
-                b = c * group
-                x = draw(make_rng(seed, c), min(group, batches - b))
-                finite = np.isfinite(x).all(axis=(1, 2))
-                if not finite.all():
-                    b += int(finite.argmin())
-                    raise ParetoTailError(
-                        f"Monte Carlo top block for {dist} at n={n} has "
-                        f"non-finite values in batch {b}: the simulation "
-                        "under- or overflowed"
-                    )
-                results[c] = reduce(x)
-                del x  # before the next stream's draw
-        except Exception as exc:  # raised on the caller's thread below
-            with lock:
-                errors.append((b, exc))
+        for c in iter(claim, None):
+            first = c * group
+            held = min(group, batches - first)
+            key = (0, first)
+            try:
+                e = make_rng(seed, c).standard_exponential((smax + 1, held * bsize))
+                for k, m in enumerate(grid):
+                    key = (k, first)
+                    with lock:
+                        if beaten(key):
+                            break
+                    keep = k + 1 < len(grid)
+                    v = uniforms(e, m, keep)
+                    if not keep:
+                        del e  # the quantile runs without the spacings
+                    x = upper_quantile(dist, v).T.reshape(held, bsize, len(depths))
+                    del v
+                    finite = np.isfinite(x).all(axis=(1, 2))
+                    if not finite.all():
+                        key = (k, first + int(finite.argmin()))
+                        raise ParetoTailError(
+                            f"Monte Carlo top block for {dist} at n={m} has "
+                            f"non-finite values in batch {key[1]}: the "
+                            "simulation under- or overflowed"
+                        )
+                    results[k][c] = reduce(x)
+                    del x  # before the next n's uniforms
+            except Exception as exc:  # raised on the caller's thread below
+                with lock:
+                    errors.append((key, exc))
+            e = v = x = None  # before the next stream's draw
 
     helpers = [
         threading.Thread(target=contextvars.copy_context().run, args=(work,))
@@ -517,7 +552,20 @@ def _per_batch(dist, n, depths, reps, seed, batches, reduce):
             t.join()
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    return np.concatenate(results)
+    out = [np.concatenate(r) for r in results]
+    return out[0] if isinstance(n, numbers.Integral) else out
+
+
+def _infinite_square(dist: DistributionSpec, n: int, s, theta):
+    """The ``InfiniteMomentError`` with which ``_require_moment`` refuses the
+    square of prod X_{n,n-s_i}^theta_i under the Monte Carlo margin, or None:
+    a product whose square has an infinite mean has no standard error, so a
+    Monte Carlo batch standard error of it means nothing."""
+    try:
+        _require_moment(dist, n, s, tuple(2.0 * t for t in theta), _MC_MARGIN)
+    except InfiniteMomentError as exc:
+        return exc
+    return None
 
 
 def mc_top_order_stats(
@@ -527,6 +575,8 @@ def mc_top_order_stats(
     reps: int,
     seed: int,
     batches: int = 25,
+    *,
+    grid=None,
 ):
     """Monte Carlo estimates of E prod X_{n,n-s_i}^{theta_i}.
 
@@ -536,7 +586,20 @@ def mc_top_order_stats(
     batch-mean standard errors; deterministic for fixed (seed, reps,
     batches), whatever the number of threads.  Empty specs, a non-integer
     reps, batches or seed, and a negative seed are refused with a
-    ``ValueError`` before any draw.
+    ``ValueError`` before any draw.  A spec whose squared product has an
+    infinite mean is served with a ``RuntimeWarning`` that names it: its
+    standard error means nothing.
+
+    ``grid`` serves a caller that loops over n: a dict keyed by every n of
+    its loop, each value None at first.  The first call checks every n of
+    the grid, in its order and before any draw, runs one draw per stream
+    for the whole grid and stores each n's results in the dict under the
+    request (dist, specs, reps, seed, batches); each call returns its own
+    n's results, bit for bit those of a call without ``grid``, and its
+    errors are those that the calls without it would raise first.  The
+    results stay in the dict, so an n that the loop repeats (``verify
+    --n 20,40,80,80``) is served again.  A grid that holds another
+    request's results is refused with a ``ValueError``.
     """
     specs = [(tuple(s), tuple(t)) for s, t in specs]
     if not specs:
@@ -546,28 +609,64 @@ def mc_top_order_stats(
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    for s, t in specs:
-        _require_moment(dist, n, s, t, _MC_MARGIN)
+    if grid is None:
+        return _mc_results(dist, [n], specs, reps, seed, batches)[0]
+    if not (isinstance(n, numbers.Integral) and n in grid):
+        raise ValueError(f"n={n!r} is not an n of the grid {list(grid)}")
+    request = (dist, specs, reps, seed, batches)
+    if all(stored is None for stored in grid.values()):
+        results = _mc_results(dist, list(grid), specs, reps, seed, batches)
+        grid.update((m, (request, res)) for m, res in zip(grid, results))
+    if grid[n] is None or grid[n][0] != request:
+        raise ValueError(
+            f"the grid holds the results of another request, not of {dist} "
+            f"with specs {specs}, reps={reps}, seed={seed}, batches={batches}"
+        )
+    return list(grid[n][1])
+
+
+def _mc_results(dist, grid, specs, reps, seed, batches):
+    """``mc_top_order_stats``'s results at each n of the grid, from one
+    ``_per_batch`` pass, once every n's specs pass the existence check."""
+    for n in grid:
+        for s, t in specs:
+            _require_moment(dist, n, s, t, _MC_MARGIN)
+            refusal = _infinite_square(dist, n, s, t)
+            if refusal is not None:
+                warnings.warn(
+                    f"the Monte Carlo standard error of {dist} at n={n}, s={s}, "
+                    f"theta={t} means nothing: the squared product has an "
+                    f"infinite mean ({refusal})",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
     depths = sorted({si for s, _ in specs for si in s})
     column = {si: i for i, si in enumerate(depths)}
 
     def spec_means(x):
-        # one mean per batch of the stream x and spec
+        # one mean per batch of the stream x and spec; a product starts
+        # from its first factor and skips a power of 1, which leave its bits
         out = np.empty((len(x), len(specs)))
         for j, (s, t) in enumerate(specs):
-            prod = np.ones(x.shape[:2])
+            prod = None
             for si, ti in zip(s, t):
-                prod = prod * x[:, :, column[si]] ** ti
+                factor = x[:, :, column[si]]
+                if ti != 1:
+                    factor = factor**ti
+                prod = factor if prod is None else prod * factor
             out[:, j] = prod.mean(axis=1)
         return out
 
-    sums = _per_batch(dist, n, depths, reps, seed, batches, spec_means)
+    grid_sums = _per_batch(dist, grid, depths, reps, seed, batches, spec_means)
     bsize = reps // batches
     out = []
-    for j in range(len(specs)):
-        means = sums[:, j]
-        se = float(means.std(ddof=1) / math.sqrt(batches))
-        out.append(OracleResult(float(means.mean()), se, "mc", bsize * batches))
+    for sums in grid_sums:
+        res = []
+        for j in range(len(specs)):
+            means = sums[:, j]
+            se = float(means.std(ddof=1) / math.sqrt(batches))
+            res.append(OracleResult(float(means.mean()), se, "mc", bsize * batches))
+        out.append(res)
     return out
 
 

@@ -324,6 +324,19 @@ def test_verify_mc_path():
     assert doc["passed"] is True
 
 
+def test_verify_mc_serves_a_repeated_n_again():
+    # one draw serves the whole grid; an n given twice gets its row twice,
+    # and the other rows are those of the grid without the repeat
+    argv = ["verify", "--dist", "pareto", "--s", "3", "--oracle", "mc", "--reps", "20000", "--seed", "1"]
+    code, out = run_cli(argv + ["--n", "20,40,80,80"])
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[-1] == rows[-2]
+    code, once = run_cli(argv + ["--n", "20,40,80"])
+    assert code == 0
+    assert [r.split(",")[:4] for r in once.splitlines()] == [r.split(",")[:4] for r in rows[:-1]]
+
+
 def test_verify_mc_refuses_undefined_standard_error(capsys):
     # the squared Cauchy product X_{n,n-2} X_{n,n-1} has suffix powers
     # (4, 2) against the bound (s + 1) alpha = 3 at depth 2: infinite mean

@@ -776,6 +776,143 @@ def test_mc_small_call_draws_one_stream_on_the_callers_thread(monkeypatch):
         assert not t.is_alive()
 
 
+_GRID_CASES = [
+    ("pareto", (20, 40, 80), [((3,), (1.0,))], 100_000),
+    ("stable(0.5,-0.5)", (50, 100, 200), [((4,), (1.0,))], 100_000),
+    ("student_t(3)", (50, 100, 200), [((1,), (1.0,))], 100_000),
+    ("pareto(2)", (5, 10, 20), [(b, (1.0,) * len(b)) for b in oracle._depth_blocks((3, 1))], 100_000),
+    ("pareto(4)", (50, 100, 200), [(b, (1.0,) * len(b)) for b in oracle._depth_blocks((7, 5, 3, 1))], 20_000),
+]
+
+
+@pytest.mark.parametrize("law, ns, specs, reps", _GRID_CASES)
+def test_mc_grid_matches_calls_per_n(monkeypatch, law, ns, specs, reps):
+    # one draw per stream serves every n of a grid, bit for bit as a call
+    # per n does, on any number of threads
+    dist = parse_distribution(law)
+    want = [mc_top_order_stats(dist, n, specs, reps, 3) for n in ns]
+    for count in (1, 2, 25):
+        monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: count)
+        threads = threading.active_count()
+        grid = dict.fromkeys(ns)
+        assert [mc_top_order_stats(dist, n, specs, reps, 3, grid=grid) for n in ns] == want
+        assert threading.active_count() == threads
+
+
+def test_mc_grid_draws_each_stream_once(monkeypatch):
+    # 100,000 reps in 25 batches are 9 streams: the first call of a grid
+    # draws each once, from make_rng(seed, c), and the later calls draw
+    # nothing and start no thread
+    calls = []
+    started = []
+    rng = oracle.make_rng
+
+    class Recording:
+        def __init__(self, stream, gen):
+            self.stream, self.gen = stream, gen
+
+        def __getattr__(self, name):
+            calls.append((self.stream, name))
+            return getattr(self.gen, name)
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(oracle, "make_rng", lambda seed, stream: Recording(stream, rng(seed, stream)))
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    dist = parse_distribution("pareto")
+    grid = dict.fromkeys((20, 40, 80))
+    mc_top_order_stats(dist, 20, [((3,), (1.0,))], 100_000, 1, grid=grid)
+    assert sorted(calls) == [(c, "standard_exponential") for c in range(9)]
+    assert len(started) == 3
+    for t in started:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    calls.clear()
+    started.clear()
+    for n in (40, 80, 20):
+        mc_top_order_stats(dist, n, [((3,), (1.0,))], 100_000, 1, grid=grid)
+    assert calls == [] and started == []
+
+
+def test_mc_grid_refuses_another_requests_results(monkeypatch):
+    dist = parse_distribution("pareto")
+    spec = [((3,), (1.0,))]
+    grid = dict.fromkeys((20, 40, 80))
+    mc_top_order_stats(dist, 20, spec, 20_000, 1, grid=grid)
+
+    def no_draw(seed, stream):
+        raise AssertionError("drew for a grid that another request filled")
+
+    monkeypatch.setattr(oracle, "make_rng", no_draw)
+    for args in (
+        (dist, 40, spec, 20_000, 2),
+        (dist, 40, spec, 30_000, 1),
+        (dist, 40, [((2,), (1.0,))], 20_000, 1),
+        (parse_distribution("pareto(2)"), 40, spec, 20_000, 1),
+    ):
+        with pytest.raises(ValueError, match="another request"):
+            mc_top_order_stats(*args, grid=grid)
+    with pytest.raises(ValueError, match="another request"):
+        mc_top_order_stats(dist, 40, spec, 20_000, 1, 20, grid=grid)
+    with pytest.raises(ValueError, match="not an n of the grid"):
+        mc_top_order_stats(dist, 30, spec, 20_000, 1, grid=grid)
+    # the request that filled it is served, as often as it asks
+    for n in (40, 40, 80):
+        assert mc_top_order_stats(dist, n, spec, 20_000, 1, grid=grid)[0].cost == 20_000
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ns, n, batch", [((1, 6, 16), 1, 7), ((6, 1), 6, 6), ((16, 1), 16, 0)])
+@pytest.mark.parametrize("count", [1, 2, 25])
+def test_mc_grid_names_the_first_error_of_the_calls_per_n(monkeypatch, count, ns, n, batch):
+    # as in test_mc_names_the_lowest_failing_batch, where batches 7, 8 and
+    # 15 fail at n = 1; at n = 6 batches 6, 7, 8, 11, 15, 17, 21 and 23 fail,
+    # and at n = 16 batches 0 and 1 too.  A grid raises the error that a
+    # call per n raises first, at its first failing n, and not the lowest
+    # failing batch of any n; a stream that fails at a later n leaves the
+    # other streams to be drawn at the earlier ones
+    dist = parse_distribution("stable(0.5,-0.5)")
+    spec = [((0,), (0.2,))]
+    overflowing_below(1e-5, monkeypatch)
+    rng = oracle.make_rng
+
+    def late_stream_2(seed, stream):
+        if stream == 2:
+            time.sleep(0.05)
+        return rng(seed, stream)
+
+    monkeypatch.setattr(oracle, "make_rng", late_stream_2)
+    monkeypatch.setattr(oracle, "_worker_count", lambda streams, nbytes: count)
+    with pytest.raises(ParetoTailError) as per_n:
+        for m in ns:
+            mc_top_order_stats(dist, m, spec, reps=100_000, seed=2)
+    grid = dict.fromkeys(ns)
+    with pytest.raises(ParetoTailError, match=rf"at n={n} has non-finite values in batch {batch}:") as got:
+        mc_top_order_stats(dist, ns[0], spec, reps=100_000, seed=2, grid=grid)
+    assert str(got.value) == str(per_n.value)
+
+
+def test_mc_warns_when_its_standard_error_means_nothing():
+    # at pareto depths (3, 2, 1) the product has a finite mean and its
+    # square does not (suffix sums 2 tbar = (6, 4, 2) against (s + 1) alpha
+    # = 4 at depth 3), so the batch standard error means nothing
+    dist = parse_distribution("pareto")
+    with pytest.warns(RuntimeWarning, match=r"pareto at n=400, s=\(3, 2, 1\).*infinite mean"):
+        (res,) = mc_top_order_stats(dist, 400, [((3, 2, 1), (1.0, 1.0, 1.0))], 10_000, 1)
+    assert math.isfinite(res.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mc_with_a_finite_variance_warns_nothing():
+    mc_top_order_stats(parse_distribution("pareto(2)"), 400, [((3, 1), (1.0, 1.0))], 10_000, 1)
+    grid = dict.fromkeys((20, 40))
+    mc_top_order_stats(parse_distribution("pareto"), 20, [((3,), (1.0,))], 10_000, 1, grid=grid)
+
+
 def test_mc_thread_count():
     cpus = len(os.sched_getaffinity(0))
     assert oracle._worker_count(25, 1000) == min(cpus, 25)
@@ -810,56 +947,49 @@ def test_mc_stable_streams_share_the_budget_on_four_cpus(monkeypatch):
     assert threads == [3, 1]
 
 
+def declared_and_peak(monkeypatch, dist, n, depths):
+    """(declared bytes, tracemalloc peak) of ``_per_batch`` on one
+    thread over two batches of 20000 rows, a stream each, drawn one after
+    the other."""
+    import tracemalloc
+
+    declared = []
+
+    def one_thread(streams, nbytes):
+        declared.append(nbytes)
+        return 1
+
+    monkeypatch.setattr(oracle, "_worker_count", one_thread)
+    args = (dist, n, depths, 40_000, 1, 2, lambda x: x.sum(axis=1))
+    oracle._per_batch(*args)  # numpy's allocations on first use
+    tracemalloc.start()
+    try:
+        sums = oracle._per_batch(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shape(sums)[-2:] == (2, len(depths))
+    return declared[-1], peak
+
+
 @pytest.mark.parametrize(
     "law, depths", [("pareto(2)", [3]), ("student_t(3)", [0, 1]), ("f_dist(3,5)", [1, 2, 4])]
 )
 def test_mc_spacings_path_declares_its_peak_bytes(monkeypatch, law, depths):
-    import tracemalloc
-
-    declared = []
-
-    def one_thread(streams, nbytes):
-        declared.append(nbytes)
-        return 1
-
-    monkeypatch.setattr(oracle, "_worker_count", one_thread)
-    # two batches of 20000 rows, a stream each, drawn one after the other
-    args = (parse_distribution(law), 50, depths, 40_000, 1, 2, lambda x: x.sum(axis=1))
-    oracle._per_batch(*args)  # numpy's allocations on first use
-    tracemalloc.start()
-    try:
-        sums = oracle._per_batch(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sums.shape == (2, len(depths))
-    assert 0 < peak <= declared[-1]
+    # a grid of n holds the spacings while its earlier n are mapped, and
+    # declares so
+    for n in (50, (50, 100, 200)):
+        declared, peak = declared_and_peak(monkeypatch, parse_distribution(law), n, depths)
+        assert 0 < peak <= declared, n
 
 
-@pytest.mark.parametrize("n, depths", [(50, [4]), (200, [1, 4])])
+@pytest.mark.parametrize("n, depths", [(50, [4]), (200, [1, 4]), ((50, 100, 200), [4])])
 def test_mc_stable_path_declares_its_peak_bytes(monkeypatch, n, depths):
     # the stable sampler's declared bytes bound its peak, and by no more
     # than a quarter
-    import tracemalloc
-
-    declared = []
-
-    def one_thread(streams, nbytes):
-        declared.append(nbytes)
-        return 1
-
-    monkeypatch.setattr(oracle, "_worker_count", one_thread)
-    # two batches of 20000 rows, a stream each, drawn one after the other
-    args = (parse_distribution("stable(0.5,-0.5)"), n, depths, 40_000, 1, 2, lambda x: x.sum(axis=1))
-    oracle._per_batch(*args)  # numpy's allocations on first use
-    tracemalloc.start()
-    try:
-        sums = oracle._per_batch(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sums.shape == (2, len(depths))
-    assert 0 < peak <= declared[-1] <= 1.25 * peak
+    dist = parse_distribution("stable(0.5,-0.5)")
+    declared, peak = declared_and_peak(monkeypatch, dist, n, depths)
+    assert 0 < peak <= declared <= 1.25 * peak
 
 
 def test_mc_refuses_batches_with_no_rows():
